@@ -22,14 +22,12 @@ from .audio import (
     soft_mask,
     stft,
     wav_read,
-    wav_read_channels,
     wav_write,
 )
 from .config import MODEL_SPECS, MODELS, ExperimentConfig, make_config, read_config_file
 from .dataset import (
     ClipEntry,
     DatasetManifest,
-    build_training_set,
     load_manifest,
     synth_dataset,
     write_manifest,
@@ -55,8 +53,8 @@ from .metrics import (
     sdr_sir_sar,
 )
 from .network import (
-    RealNetwork,
-    VPNetwork,
+    Network,
+    init_network,
     init_real_network,
     init_vp_network,
     loss_j,
@@ -66,7 +64,7 @@ from .network import (
     vp_backward,
     vp_forward,
 )
-from .optim import AdamState, adam_init, adam_step, sgd_step
+from .optim import AdamState, adam_init, adam_step
 from .pipeline import (
     ClipEval,
     EvalReport,
@@ -90,7 +88,7 @@ from .transform import (
     window_encode,
     window_stack,
 )
-from .vecmat import Vec3, VecMatrix, cross, dot, vec_matmul, vec_matmul_naive
+from .vecmat import vec_matmul
 
 __version__ = "0.1.0"
 
@@ -98,22 +96,19 @@ __all__ = [
     "AdamState", "AudioError", "BssResult", "CheckpointError", "ClipEntry",
     "ClipEval", "ColorParams", "ComplexSpectrogram", "ConfigError",
     "DatasetError", "DatasetManifest", "Decomposition", "EvalReport",
-    "ExperimentConfig",
-    "GlobalMetrics", "HOP", "MODELS", "MODEL_SPECS", "MagnitudeMatrix",
-    "MaskPair", "ModelCheckpoint", "N_BINS", "RealNetwork",
-    "ShapeMismatchError", "TARGET_RATE", "TrainingDivergedError", "Vec3",
-    "VecMatrix", "VPNetwork", "VpsepError", "Waveform", "WavFormatError",
-    "WINDOW_LEN", "adam_init", "adam_step", "aggregate_global",
-    "apply_mask_and_reconstruct", "bss_decompose", "build_training_set",
-    "checkpoint_load", "checkpoint_save", "color_decode", "color_encode",
-    "covered_length", "cross", "denormalize", "dot", "evaluate",
-    "evaluate_ideal", "init_real_network", "init_vp_network", "istft",
-    "load_manifest", "loss_j", "make_config", "n_frames_for", "normalize",
-    "nsdr", "param_count", "read_config_file", "real_backward",
-    "real_forward", "resample_to_16k", "sdr_only", "sdr_sir_sar",
-    "separate", "separate_ideal", "sgd_step", "soft_mask", "stft",
-    "synth_dataset", "train", "vec_matmul", "vec_matmul_naive",
-    "vp_backward", "vp_forward", "wav_read", "wav_read_channels",
-    "wav_write", "window_decode", "window_encode", "window_stack",
-    "write_manifest",
+    "ExperimentConfig", "GlobalMetrics", "HOP", "MODELS", "MODEL_SPECS",
+    "MagnitudeMatrix", "MaskPair", "ModelCheckpoint", "N_BINS", "Network",
+    "ShapeMismatchError", "TARGET_RATE", "TrainingDivergedError",
+    "VpsepError", "Waveform", "WavFormatError", "WINDOW_LEN", "adam_init",
+    "adam_step", "aggregate_global", "apply_mask_and_reconstruct",
+    "bss_decompose", "checkpoint_load", "checkpoint_save", "color_decode",
+    "color_encode", "covered_length", "denormalize", "evaluate",
+    "evaluate_ideal", "init_network", "init_real_network",
+    "init_vp_network", "istft", "load_manifest", "loss_j", "make_config",
+    "n_frames_for", "normalize", "nsdr", "param_count", "read_config_file",
+    "real_backward", "real_forward", "resample_to_16k", "sdr_only",
+    "sdr_sir_sar", "separate", "separate_ideal", "soft_mask", "stft",
+    "synth_dataset", "train", "vec_matmul", "vp_backward", "vp_forward",
+    "wav_read", "wav_write", "window_decode", "window_encode",
+    "window_stack", "write_manifest",
 ]

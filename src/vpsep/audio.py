@@ -73,9 +73,6 @@ class ComplexSpectrogram:
     def magnitude(self) -> np.ndarray:
         return np.abs(self.bins)
 
-    def phase(self) -> np.ndarray:
-        return np.angle(self.bins)
-
 
 @dataclass(frozen=True)
 class MaskPair:

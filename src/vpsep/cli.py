@@ -106,6 +106,8 @@ def _cmd_evaluate(args) -> int:
             ckpt, manifest, filter_len=config.filter_len,
             workers=config.workers, split=args.split,
         )
+    if report.skipped:
+        print(f"skipped (silent stem): {' '.join(report.skipped)}", file=sys.stderr)
     table = report.table_tsv()
     print(table, end="")
     if args.out is not None:

@@ -34,7 +34,6 @@ from .transform import (
     window_encode,
     window_stack,
 )
-from .vecmat import VecMatrix, vm_take_cols, vm_vstack
 
 MANIFEST_NAME = "manifest.tsv"
 MANIFEST_HEADER = ("clip_id", "split", "duration")
@@ -242,22 +241,22 @@ def clip_training_frames(entry: ClipEntry, config: ExperimentConfig):
     if config.transform == "color":
         params = ColorParams(config.color_n)
         x = color_encode(norm_mix, params)
-        target = vm_vstack(color_encode(norm_voc, params),
-                           color_encode(norm_mus, params))
+        v, m = color_encode(norm_voc, params), color_encode(norm_mus, params)
     elif config.transform == "window" and config.kind == "vp":
         x = window_encode(norm_mix)
-        target = vm_vstack(window_encode(norm_voc), window_encode(norm_mus))
-    elif config.transform == "window":
-        x = window_stack(norm_mix)
-        target = np.vstack([norm_voc.data, norm_mus.data])
+        v, m = window_encode(norm_voc), window_encode(norm_mus)
     else:
-        x = norm_mix.data
-        target = np.vstack([norm_voc.data, norm_mus.data])
-    return x, target
+        x = window_stack(norm_mix) if config.transform == "window" else norm_mix.data
+        v, m = norm_voc.data, norm_mus.data
+    return x, np.concatenate([v, m], axis=-2)
 
 
 def load_training_frames(manifest: DatasetManifest, config: ExperimentConfig):
-    """All training-split frames concatenated along columns, clip order."""
+    """All training-split frames concatenated along columns, clip order.
+
+    Planes keep the column-major order of the STFT, so that gathering a
+    minibatch of frames copies contiguous columns.
+    """
     train = manifest.train_clips
     if not train:
         raise DatasetError("manifest has no training clips")
@@ -266,36 +265,16 @@ def load_training_frames(manifest: DatasetManifest, config: ExperimentConfig):
         x, t = clip_training_frames(entry, config)
         xs.append(x)
         ts.append(t)
-    if isinstance(xs[0], VecMatrix):
-        x_all = VecMatrix(*(np.hstack([m.planes()[k] for m in xs]) for k in range(3)))
-        t_all = VecMatrix(*(np.hstack([m.planes()[k] for m in ts]) for k in range(3)))
-    else:
-        x_all = np.hstack(xs)
-        t_all = np.hstack(ts)
-    return x_all, t_all
-
-
-def _take_cols(block, idx: np.ndarray):
-    if isinstance(block, VecMatrix):
-        return vm_take_cols(block, idx)
-    return np.ascontiguousarray(block[:, idx])
+    return np.concatenate(xs, axis=-1), np.concatenate(ts, axis=-1)
 
 
 def make_batches(x_all, t_all, batch_frames: int, rng: np.random.Generator):
-    """Shuffle frame columns and slice into minibatches (last one ragged)."""
-    n = x_all.cols if isinstance(x_all, VecMatrix) else x_all.shape[1]
-    order = rng.permutation(n)
+    """Shuffle frame columns and slice into minibatches (last one ragged),
+    each a C-ordered copy."""
+    order = rng.permutation(x_all.shape[-1])
     batches = []
-    for start in range(0, n, batch_frames):
+    for start in range(0, len(order), batch_frames):
         idx = order[start:start + batch_frames]
-        batches.append((_take_cols(x_all, idx), _take_cols(t_all, idx)))
+        batches.append((np.ascontiguousarray(x_all[..., idx]),
+                        np.ascontiguousarray(t_all[..., idx])))
     return batches
-
-
-def build_training_set(manifest: DatasetManifest, config: ExperimentConfig,
-                       rng: np.random.Generator | None = None):
-    """One shuffled pass of minibatches over the training split."""
-    if rng is None:
-        rng = np.random.default_rng([config.seed, 1])
-    x_all, t_all = load_training_frames(manifest, config)
-    return make_batches(x_all, t_all, config.batch_frames, rng)

@@ -1,328 +1,35 @@
-"""Vector-product and real-valued feedforward networks.
+"""One sigmoid feedforward engine for vector-product and real networks.
 
-Both network kinds are plain sigmoid MLPs over frame columns; the
-vector-product variant replaces every scalar weight/activation with a
-3-vector and every scalar product with a cross product.  The backward
-pass for that variant follows from the triple-product identities
+Both network kinds are plain sigmoid MLPs over frame columns, z = W a + b
+and a' = sigmoid(z) per layer.  A real network holds ``(rows, cols)``
+arrays and multiplies with ``np.matmul``.  A vector-product network holds
+``(3, rows, cols)`` arrays: every scalar weight/activation is a 3-vector
+and every scalar product a cross product (:func:`vpsep.vecmat.vec_matmul`).
+Because the cross product is antisymmetric, its adjoints are the same
+product with the sign flipped: for z = W (x) a + b and upstream gradient g,
 
-    dL/dw = a x g        dL/da = g x w        dL/db = g
+    dL/dW = -(g (x) a^T)        dL/da = -(W^T (x) g)        dL/db = sum_t g
 
-for a neuron pre-activation z = w x a + b with upstream gradient g.
+where the real product gives g a^T and W^T g.  One forward and one
+backward body therefore serve both kinds, parameterised by the product and
+its adjoint sign.
+
+All parameters live in one flat float64 buffer laid out like the
+checkpoint payload: layer by layer, W then b, each plane by plane.  The
+per-layer ``W`` and ``b`` are views into that buffer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import ShapeMismatchError
-from .vecmat import (
-    VecMatrix,
-    map_planes,
-    vec_matmul,
-    vm_frob_sq,
-    vm_scale,
-    vm_sub,
-    vm_transpose,
-)
+from .vecmat import vec_matmul
 
-
-def _sigmoid_vm(z: VecMatrix) -> VecMatrix:
-    return map_planes(expit, z)
-
-
-@dataclass
-class VPLayer:
-    """One vector-valued dense layer: weights out x in, bias out x 1."""
-
-    W: VecMatrix
-    B: VecMatrix
-
-    def __post_init__(self):
-        if self.B.cols != 1:
-            raise ShapeMismatchError(f"bias must be a column, got {self.B.shape}")
-        if self.W.rows != self.B.rows:
-            raise ShapeMismatchError(
-                f"weight rows {self.W.rows} != bias rows {self.B.rows}"
-            )
-
-
-@dataclass
-class VPNetwork:
-    """Stack of VPLayers with componentwise sigmoid after every layer."""
-
-    layers: list[VPLayer]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ShapeMismatchError("network needs at least one layer")
-        for k in range(1, len(self.layers)):
-            need = self.layers[k - 1].W.rows
-            got = self.layers[k].W.cols
-            if need != got:
-                raise ShapeMismatchError(
-                    f"layer {k} expects {got} inputs but layer {k-1} emits {need}"
-                )
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].W.cols
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].W.rows
-
-    def parameter_planes(self) -> list[np.ndarray]:
-        """Flat list of every component plane, in a fixed layer order."""
-        planes: list[np.ndarray] = []
-        for lay in self.layers:
-            planes.extend(lay.W.planes())
-            planes.extend(lay.B.planes())
-        return planes
-
-    def set_parameter_planes(self, planes: list[np.ndarray]) -> None:
-        """Rebind parameters from a flat plane list (inverse of
-        :meth:`parameter_planes`)."""
-        expected = self.parameter_planes()
-        if len(planes) != len(expected):
-            raise ShapeMismatchError(
-                f"expected {len(expected)} planes, got {len(planes)}"
-            )
-        it = iter(planes)
-        new_layers = []
-        for lay in self.layers:
-            w = VecMatrix(next(it), next(it), next(it))
-            b = VecMatrix(next(it), next(it), next(it))
-            if w.shape != lay.W.shape or b.shape != lay.B.shape:
-                raise ShapeMismatchError("plane shapes do not match the network")
-            new_layers.append(VPLayer(w, b))
-        self.layers = new_layers
-
-
-@dataclass
-class RealLayer:
-    W: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.W.ndim != 2 or self.b.shape != (self.W.shape[0], 1):
-            raise ShapeMismatchError(
-                f"bad layer shapes: W {self.W.shape}, b {self.b.shape}"
-            )
-
-
-@dataclass
-class RealNetwork:
-    """Ordinary dense sigmoid network, the parameter-matched baseline."""
-
-    layers: list[RealLayer]
-    tag: str = ""
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ShapeMismatchError("network needs at least one layer")
-        for k in range(1, len(self.layers)):
-            if self.layers[k].W.shape[1] != self.layers[k - 1].W.shape[0]:
-                raise ShapeMismatchError(f"layer {k} width mismatch")
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].W.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].W.shape[0]
-
-    def parameter_planes(self) -> list[np.ndarray]:
-        planes: list[np.ndarray] = []
-        for lay in self.layers:
-            planes.append(lay.W)
-            planes.append(lay.b)
-        return planes
-
-    def set_parameter_planes(self, planes: list[np.ndarray]) -> None:
-        if len(planes) != 2 * len(self.layers):
-            raise ShapeMismatchError("wrong number of parameter arrays")
-        new_layers = []
-        for k, lay in enumerate(self.layers):
-            w, b = planes[2 * k], planes[2 * k + 1]
-            if w.shape != lay.W.shape or b.shape != lay.b.shape:
-                raise ShapeMismatchError("parameter shapes do not match the network")
-            new_layers.append(RealLayer(w, b))
-        self.layers = new_layers
-
-
-@dataclass
-class VPForwardCache:
-    activations: list[VecMatrix]  # [A0 .. AL]
-    preacts: list[VecMatrix]  # [Z1 .. ZL]
-
-
-@dataclass
-class RealForwardCache:
-    activations: list[np.ndarray]
-    preacts: list[np.ndarray]
-
-
-@dataclass
-class VPGradientSet:
-    d_weights: list[VecMatrix]
-    d_biases: list[VecMatrix]
-
-    def planes(self) -> list[np.ndarray]:
-        planes: list[np.ndarray] = []
-        for dw, db in zip(self.d_weights, self.d_biases):
-            planes.extend(dw.planes())
-            planes.extend(db.planes())
-        return planes
-
-
-@dataclass
-class RealGradientSet:
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
-
-    def planes(self) -> list[np.ndarray]:
-        planes: list[np.ndarray] = []
-        for dw, db in zip(self.d_weights, self.d_biases):
-            planes.append(dw)
-            planes.append(db)
-        return planes
-
-
-def vp_forward(net: VPNetwork, a0: VecMatrix) -> tuple[VecMatrix, VPForwardCache]:
-    """Run the network over a batch of input columns.
-
-    Returns the output A^L and a cache of all intermediate pre-activations
-    and activations, sufficient for :func:`vp_backward`.
-    """
-    if a0.rows != net.in_dim:
-        raise ShapeMismatchError(f"input has {a0.rows} rows, network wants {net.in_dim}")
-    activations = [a0]
-    preacts = []
-    a = a0
-    for lay in net.layers:
-        prod = vec_matmul(lay.W, a)
-        # bias column broadcasts across frames
-        z = VecMatrix(
-            prod.p1 + lay.B.p1,
-            prod.p2 + lay.B.p2,
-            prod.p3 + lay.B.p3,
-        )
-        a = _sigmoid_vm(z)
-        preacts.append(z)
-        activations.append(a)
-    return a, VPForwardCache(activations, preacts)
-
-
-def vp_backward(net: VPNetwork, cache: VPForwardCache, d_out: VecMatrix) -> VPGradientSet:
-    """Backpropagate a gradient at the output through every layer."""
-    if len(cache.activations) != len(net.layers) + 1:
-        raise ShapeMismatchError("cache does not match this network")
-    y = cache.activations[-1]
-    if d_out.shape != y.shape:
-        raise ShapeMismatchError(
-            f"output gradient shape {d_out.shape} != output shape {y.shape}"
-        )
-    d_weights: list[VecMatrix] = [None] * len(net.layers)  # type: ignore[list-item]
-    d_biases: list[VecMatrix] = [None] * len(net.layers)  # type: ignore[list-item]
-    da = d_out
-    for k in range(len(net.layers) - 1, -1, -1):
-        a = cache.activations[k + 1]
-        a_prev = cache.activations[k]
-        # sigmoid adjoint, componentwise per plane
-        g = map_planes(lambda d, act: d * act * (1.0 - act), da, a)
-        d_biases[k] = VecMatrix(
-            g.p1.sum(axis=1, keepdims=True),
-            g.p2.sum(axis=1, keepdims=True),
-            g.p3.sum(axis=1, keepdims=True),
-        )
-        # dW[i,j] = sum_t a_prev[j,t] x g[i,t] = -(g (x) a_prev^T)[i,j]
-        d_weights[k] = vm_scale(vec_matmul(g, vm_transpose(a_prev)), -1.0)
-        if k > 0:
-            # dA_prev[j,t] = sum_i g[i,t] x W[i,j] = -(W^T (x) g)[j,t]
-            da = vm_scale(vec_matmul(vm_transpose(net.layers[k].W), g), -1.0)
-    return VPGradientSet(d_weights, d_biases)
-
-
-def real_forward(net: RealNetwork, x: np.ndarray) -> tuple[np.ndarray, RealForwardCache]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != net.in_dim:
-        raise ShapeMismatchError(
-            f"input shape {x.shape} incompatible with in_dim {net.in_dim}"
-        )
-    activations = [x]
-    preacts = []
-    a = x
-    for lay in net.layers:
-        z = lay.W @ a + lay.b
-        a = expit(z)
-        preacts.append(z)
-        activations.append(a)
-    return a, RealForwardCache(activations, preacts)
-
-
-def real_backward(
-    net: RealNetwork, cache: RealForwardCache, d_out: np.ndarray
-) -> RealGradientSet:
-    if len(cache.activations) != len(net.layers) + 1:
-        raise ShapeMismatchError("cache does not match this network")
-    y = cache.activations[-1]
-    if d_out.shape != y.shape:
-        raise ShapeMismatchError(
-            f"output gradient shape {d_out.shape} != output shape {y.shape}"
-        )
-    d_weights: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
-    d_biases: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
-    da = d_out
-    for k in range(len(net.layers) - 1, -1, -1):
-        a = cache.activations[k + 1]
-        a_prev = cache.activations[k]
-        g = da * a * (1.0 - a)
-        d_biases[k] = g.sum(axis=1, keepdims=True)
-        d_weights[k] = g @ a_prev.T
-        if k > 0:
-            da = net.layers[k].W.T @ g
-    return RealGradientSet(d_weights, d_biases)
-
-
-def loss_j(pred1, target1, pred2, target2):
-    """Two-source squared-error objective.
-
-    J = ||pred1 - target1||^2 + ||pred2 - target2||^2 with Frobenius norms
-    taken over all component planes.  Returns (J, (dJ/dpred1, dJ/dpred2)).
-    Accepts either VecMatrix or plain 2-D arrays, pairwise shape-matched.
-    """
-    if isinstance(pred1, VecMatrix):
-        e1 = vm_sub(pred1, target1)
-        e2 = vm_sub(pred2, target2)
-        j = vm_frob_sq(e1) + vm_frob_sq(e2)
-        return j, (vm_scale(e1, 2.0), vm_scale(e2, 2.0))
-    pred1 = np.asarray(pred1, dtype=np.float64)
-    pred2 = np.asarray(pred2, dtype=np.float64)
-    if pred1.shape != np.shape(target1) or pred2.shape != np.shape(target2):
-        raise ShapeMismatchError("prediction/target shapes differ")
-    e1 = pred1 - target1
-    e2 = pred2 - target2
-    j = float(np.sum(e1 * e1) + np.sum(e2 * e2))
-    return j, (2.0 * e1, 2.0 * e2)
-
-
-def param_count(net) -> int:
-    """Total scalar parameter count; a 3-vector weight counts as three."""
-    if isinstance(net, VPNetwork):
-        return sum(
-            3 * (lay.W.rows * lay.W.cols) + 3 * lay.B.rows for lay in net.layers
-        )
-    return sum(lay.W.size + lay.b.size for lay in net.layers)
-
-
-def _glorot_limit(fan_in: int, fan_out: int) -> float:
-    return float(np.sqrt(6.0 / (fan_in + fan_out)))
+KINDS = ("vp", "real")
 
 
 def _check_sizes(sizes) -> list[int]:
@@ -334,27 +41,153 @@ def _check_sizes(sizes) -> list[int]:
     return sizes
 
 
-def init_vp_network(sizes, seed: int) -> VPNetwork:
-    """Glorot-uniform vector network; each plane drawn independently,
-    biases zero.  Deterministic for a given seed."""
-    sizes = _check_sizes(sizes)
-    rng = np.random.default_rng(seed)
-    layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        lim = _glorot_limit(fan_in, fan_out)
-        w = VecMatrix(*[rng.uniform(-lim, lim, (fan_out, fan_in)) for _ in range(3)])
-        b = VecMatrix.zeros(fan_out, 1)
-        layers.append(VPLayer(w, b))
-    return VPNetwork(layers)
+class Network:
+    """Sigmoid MLP of kind ``"vp"`` or ``"real"`` with layer widths
+    ``sizes``, whose parameters are the flat buffer ``params``.
+
+    ``layers`` holds one ``(W, b)`` pair of views per layer: W is
+    (3, out, in) or (out, in), b is (3, out, 1) or (out, 1).
+    """
+
+    def __init__(self, kind: str, sizes, params: np.ndarray | None = None):
+        if kind not in KINDS:
+            raise ShapeMismatchError(f"network kind must be vp or real, got {kind!r}")
+        self.kind = kind
+        self.sizes = _check_sizes(sizes)
+        self.lead = (3,) if kind == "vp" else ()  # leading axes of every array
+        size = sum(math.prod(s) for s in self._shapes())
+        self.params = np.zeros(size) if params is None else params
+        if self.params.shape != (size,) or self.params.dtype != np.float64:
+            raise ShapeMismatchError(
+                f"expected {size} float64 parameters, got {self.params.dtype} "
+                f"{self.params.shape}"
+            )
+        self.layers = self.views(self.params)
+
+    def _shapes(self) -> list[tuple[int, ...]]:
+        shapes = []
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            shapes += [self.lead + (fan_out, fan_in), self.lead + (fan_out, 1)]
+        return shapes
+
+    def views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (W, b) views of a flat buffer laid out like ``params``."""
+        out, offset = [], 0
+        for shape in self._shapes():
+            size = math.prod(shape)
+            out.append(flat[offset:offset + size].reshape(shape))
+            offset += size
+        return list(zip(out[::2], out[1::2]))
+
+    def product(self):
+        """The layer product and the sign of its adjoints."""
+        return (vec_matmul, -1.0) if self.kind == "vp" else (np.matmul, 1.0)
+
+    @property
+    def in_dim(self) -> int:
+        return self.sizes[0]
+
+    @property
+    def out_dim(self) -> int:
+        return self.sizes[-1]
 
 
-def init_real_network(sizes, seed: int, tag: str = "") -> RealNetwork:
-    sizes = _check_sizes(sizes)
+def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Run the network over a batch of input columns.
+
+    Returns the output A^L and the activations [A0 .. AL], which are all
+    that :func:`backward` needs.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[:-1] != net.lead + (net.in_dim,):
+        raise ShapeMismatchError(
+            f"input shape {x.shape} does not fit a {net.kind} network "
+            f"with {net.in_dim} inputs"
+        )
+    product, _ = net.product()
+    activations = [x]
+    for w, b in net.layers:
+        z = product(w, activations[-1])
+        z += b  # bias column broadcasts across frames
+        activations.append(expit(z, out=z))
+    return activations[-1], activations
+
+
+def backward(net: Network, activations: list[np.ndarray], d_out) -> np.ndarray:
+    """Backpropagate a gradient at the output through every layer.
+
+    Returns the gradient of every parameter as one flat array laid out
+    like ``net.params``.
+    """
+    if len(activations) != len(net.layers) + 1:
+        raise ShapeMismatchError("activations do not match this network")
+    if np.shape(d_out) != activations[-1].shape:
+        raise ShapeMismatchError(
+            f"output gradient shape {np.shape(d_out)} != output shape "
+            f"{activations[-1].shape}"
+        )
+    product, sign = net.product()
+    grad = np.empty_like(net.params)
+    d_layers = net.views(grad)
+    da = d_out
+    for k in range(len(net.layers) - 1, -1, -1):
+        a, a_prev = activations[k + 1], activations[k]
+        dw, db = d_layers[k]
+        g = da * a * (1.0 - a)  # sigmoid adjoint
+        np.sum(g, axis=-1, keepdims=True, out=db)
+        np.multiply(product(g, a_prev.swapaxes(-1, -2)), sign, out=dw)
+        if k > 0:
+            da = product(net.layers[k][0].swapaxes(-1, -2), g)
+            da *= sign
+    return grad
+
+
+# Entry points named by network kind; both kinds share the one engine.
+vp_forward = real_forward = forward
+vp_backward = real_backward = backward
+
+
+def _frob_sq(e: np.ndarray) -> float:
+    """Squared Frobenius norm, summed plane by plane."""
+    return float(sum(np.sum(p * p) for p in e.reshape(-1, *e.shape[-2:])))
+
+
+def loss_j(pred1, target1, pred2, target2):
+    """Two-source squared-error objective.
+
+    J = ||pred1 - target1||^2 + ||pred2 - target2||^2 with Frobenius norms
+    taken over all component planes.  Returns (J, (dJ/dpred1, dJ/dpred2)).
+    Operands are real or vector arrays, pairwise shape-matched.
+    """
+    pred1 = np.asarray(pred1, dtype=np.float64)
+    pred2 = np.asarray(pred2, dtype=np.float64)
+    if pred1.shape != np.shape(target1) or pred2.shape != np.shape(target2):
+        raise ShapeMismatchError("prediction/target shapes differ")
+    e1 = pred1 - target1
+    e2 = pred2 - target2
+    return _frob_sq(e1) + _frob_sq(e2), (2.0 * e1, 2.0 * e2)
+
+
+def param_count(net: Network) -> int:
+    """Total scalar parameter count; a 3-vector weight counts as three."""
+    return net.params.size
+
+
+def init_network(kind: str, sizes, seed) -> Network:
+    """Glorot-uniform weights, each plane drawn in turn, and zero biases.
+    Deterministic for a given seed."""
+    net = Network(kind, sizes)
     rng = np.random.default_rng(seed)
-    layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        lim = _glorot_limit(fan_in, fan_out)
-        w = rng.uniform(-lim, lim, (fan_out, fan_in))
-        b = np.zeros((fan_out, 1))
-        layers.append(RealLayer(w, b))
-    return RealNetwork(layers, tag=tag)
+    for w, _ in net.layers:
+        fan_out, fan_in = w.shape[-2:]
+        lim = math.sqrt(6.0 / (fan_in + fan_out))
+        w[...] = rng.uniform(-lim, lim, w.shape)
+    return net
+
+
+def init_vp_network(sizes, seed) -> Network:
+    return init_network("vp", sizes, seed)
+
+
+def init_real_network(sizes, seed) -> Network:
+    return init_network("real", sizes, seed)

@@ -1,9 +1,9 @@
-"""Adam and plain SGD over flat lists of parameter arrays.
+"""Adam over lists of parameter arrays.
 
-Vector-valued parameters are optimized as three independent scalar
-planes; the optimizer never couples components.  Updates are pure
-functions: they return fresh arrays and a fresh state, leaving the
-inputs untouched.
+The trainer passes chunks of the network's flat parameter buffer (see
+:mod:`vpsep.network`), so a vector weight is three independent scalars;
+the update never couples entries.  A step returns fresh arrays and a fresh
+state, leaving its inputs untouched.
 """
 
 from __future__ import annotations
@@ -107,12 +107,3 @@ def adam_step(
     )
     return new_p, next_state
 
-
-def sgd_step(
-    params: list[np.ndarray], grads: list[np.ndarray], lr: float
-) -> list[np.ndarray]:
-    """Plain gradient descent: theta <- theta - lr * g."""
-    if lr <= 0:
-        raise VpsepError(f"learning rate must be positive, got {lr}")
-    _check_congruent(params, grads)
-    return [p - lr * g for p, g in zip(params, grads)]

@@ -33,15 +33,17 @@ from .dataset import (
     load_training_frames,
     make_batches,
 )
-from .errors import CheckpointError, DatasetError, TrainingDivergedError, VpsepError
+from .errors import (
+    CheckpointError,
+    DatasetError,
+    ShapeMismatchError,
+    TrainingDivergedError,
+    VpsepError,
+)
 from .metrics import GlobalMetrics, aggregate_global, bss_decompose, sdr_only, sdr_sir_sar
 from .network import (
-    RealLayer,
-    RealNetwork,
-    VPLayer,
-    VPNetwork,
-    init_real_network,
-    init_vp_network,
+    Network,
+    init_network,
     loss_j,
     param_count,
     real_backward,
@@ -61,7 +63,6 @@ from .transform import (
     window_encode,
     window_stack,
 )
-from .vecmat import VecMatrix, vm_split_rows, vm_vstack
 
 
 @dataclass
@@ -74,13 +75,13 @@ class ModelCheckpoint:
     hidden_layers: int
     transform: str
     color_n: float
-    network: VPNetwork | RealNetwork
+    network: Network
     epochs_trained: int = 0
     final_j: float | None = None
 
     @property
     def kind(self) -> str:
-        return "vp" if isinstance(self.network, VPNetwork) else "real"
+        return self.network.kind
 
     @property
     def context(self) -> int:
@@ -92,11 +93,7 @@ class ModelCheckpoint:
 
     @property
     def sizes(self) -> list[int]:
-        net = self.network
-        dims = [net.in_dim]
-        for layer in net.layers:
-            dims.append(layer.W.rows if self.kind == "vp" else layer.W.shape[0])
-        return dims
+        return list(self.network.sizes)
 
 
 # --- training ---------------------------------------------------------------
@@ -113,12 +110,11 @@ def _encode_input(ckpt_like, norm: MagnitudeMatrix):
     return norm.data
 
 
-def _run_forward(ckpt: ModelCheckpoint, x):
-    if ckpt.kind == "vp":
-        y, _ = vp_forward(ckpt.network, x)
-    else:
-        y, _ = real_forward(ckpt.network, x)
-    return y
+def _engine(kind: str):
+    """Forward and backward entry points for a network kind."""
+    if kind == "vp":
+        return vp_forward, vp_backward
+    return real_forward, real_backward
 
 
 def _decode_output(ckpt: ModelCheckpoint, y, scale: float) -> np.ndarray:
@@ -132,16 +128,31 @@ def _decode_output(ckpt: ModelCheckpoint, y, scale: float) -> np.ndarray:
 
 
 def _split_sources(block):
-    if isinstance(block, VecMatrix):
-        return vm_split_rows(block, block.rows // 2)
-    k = block.shape[0] // 2
-    return block[:k], block[k:]
+    """Vocal rows and music rows of a real or vector block."""
+    k = block.shape[-2] // 2
+    return block[..., :k, :], block[..., k:, :]
 
 
 def _stack_sources(a, b):
-    if isinstance(a, VecMatrix):
-        return vm_vstack(a, b)
-    return np.vstack([a, b])
+    return np.concatenate([a, b], axis=-2)
+
+
+# Adam is elementwise, so the flat parameter buffer is stepped in chunks of
+# this many values; whole-buffer temporaries cost memory and cache misses.
+_ADAM_CHUNK = 1 << 16
+
+
+def _chunks(flat: np.ndarray) -> list[np.ndarray]:
+    return [flat[i:i + _ADAM_CHUNK] for i in range(0, flat.size, _ADAM_CHUNK)]
+
+
+def _adam_update(params: list[np.ndarray], grad: np.ndarray, state):
+    """One Adam step written back into the parameter chunks; returns the
+    new optimizer state."""
+    new_params, state = adam_step(params, _chunks(grad), state)
+    for dst, src in zip(params, new_params):
+        dst[...] = src
+    return state
 
 
 def train(config: ExperimentConfig, manifest: DatasetManifest,
@@ -149,18 +160,15 @@ def train(config: ExperimentConfig, manifest: DatasetManifest,
     """Minibatch Adam on the summed squared reconstruction error of both
     encoded sources. Returns the trained checkpoint and the per-epoch
     history of mean loss per frame."""
-    sizes = config.network_sizes(N_BINS)
-    if config.kind == "vp":
-        net = init_vp_network(sizes, seed=[config.seed, 0])
-        forward, backward = vp_forward, vp_backward
-    else:
-        net = init_real_network(sizes, seed=[config.seed, 0])
-        forward, backward = real_forward, real_backward
+    net = init_network(config.kind, config.network_sizes(N_BINS),
+                       seed=[config.seed, 0])
+    forward, backward = _engine(net.kind)
 
     x_all, t_all = load_training_frames(manifest, config)
-    n_frames = x_all.cols if isinstance(x_all, VecMatrix) else x_all.shape[1]
+    n_frames = x_all.shape[-1]
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    state = adam_init(net.parameter_planes(), lr=config.lr, beta1=config.beta1,
+    params = _chunks(net.params)
+    state = adam_init(params, lr=config.lr, beta1=config.beta1,
                       beta2=config.beta2, epsilon=config.epsilon)
 
     history: list[float] = []
@@ -177,9 +185,8 @@ def train(config: ExperimentConfig, manifest: DatasetManifest,
                 raise TrainingDivergedError(
                     f"loss became {j} at epoch {epoch}, batch {batch_i}"
                 )
-            grads = backward(net, cache, _stack_sources(d_v, d_m))
-            params, state = adam_step(net.parameter_planes(), grads.planes(), state)
-            net.set_parameter_planes(params)
+            grad = backward(net, cache, _stack_sources(d_v, d_m))
+            state = _adam_update(params, grad, state)
             total_j += j
         mean_j = total_j / n_frames
         history.append(mean_j)
@@ -230,7 +237,10 @@ def separate(ckpt: ModelCheckpoint, mix: Waveform) -> tuple[Waveform, Waveform]:
     padded, offset = _pad_waveform(w)
     spec = stft(padded)
     norm = normalize(spec.magnitude())
-    y = _run_forward(ckpt, _encode_input(ckpt, norm))
+    forward, _ = _engine(ckpt.kind)
+    # keep only the output: holding the activations through decoding and
+    # reconstruction would add several hundred MB for a long input
+    y = forward(ckpt.network, _encode_input(ckpt, norm))[0]
     mags = _decode_output(ckpt, y, norm.scale)
     mag_v, mag_m = mags[:N_BINS], mags[N_BINS:]
     masks = soft_mask(mag_v, mag_m)
@@ -286,6 +296,7 @@ class EvalReport:
     vocal: GlobalMetrics
     music: GlobalMetrics
     clips: tuple[ClipEval, ...]
+    skipped: tuple[str, ...] = ()  # clips with a silent stem, not scored
 
     def table_tsv(self) -> str:
         """Single-row summary table; the headline row reports the vocal
@@ -307,15 +318,19 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _clip_rows(entry: ClipEntry, estimate_fn, filter_len: int) -> list[ClipEval]:
+def _clip_rows(entry: ClipEntry, estimate_fn, filter_len: int) -> list[ClipEval] | None:
+    """Both sources' rows for one clip, or None when a stem is all zeros:
+    a silent reference leaves nothing to score against."""
     vocal, music = load_clip_stems(entry)
     mix = load_clip_mixture(entry)
     n = min(len(mix), len(vocal), len(music))
+    refs = np.vstack([vocal.samples[:n], music.samples[:n]])
+    if not np.all(np.any(refs, axis=1)):
+        return None
     mix_t = Waveform(mix.samples[:n], TARGET_RATE)
-    voc_t = Waveform(vocal.samples[:n], TARGET_RATE)
-    mus_t = Waveform(music.samples[:n], TARGET_RATE)
+    voc_t = Waveform(refs[0], TARGET_RATE)
+    mus_t = Waveform(refs[1], TARGET_RATE)
     est_v, est_m = estimate_fn(mix_t, voc_t, mus_t)
-    refs = np.vstack([voc_t.samples, mus_t.samples])
     rows = []
     for idx, (name, est) in enumerate((("vocal", est_v), ("music", est_m))):
         decomp = bss_decompose(est.samples, refs, target_index=idx,
@@ -338,7 +353,10 @@ def _run_eval(clips, estimate_fn, filter_len: int, workers: int,
                 lambda e: _clip_rows(e, estimate_fn, filter_len), clips))
     else:
         per_clip = [_clip_rows(e, estimate_fn, filter_len) for e in clips]
-    flat = [row for rows in per_clip for row in rows]
+    skipped = tuple(e.clip_id for e, rows in zip(clips, per_clip) if rows is None)
+    if len(skipped) == len(clips):
+        raise DatasetError(f"every clip has a silent stem: {', '.join(skipped)}")
+    flat = [row for rows in per_clip if rows is not None for row in rows]
     globals_by_source = {}
     for source in ("vocal", "music"):
         rows = [r for r in flat if r.source == source]
@@ -347,7 +365,7 @@ def _run_eval(clips, estimate_fn, filter_len: int, workers: int,
             [r.n_samples for r in rows],
         )
     return EvalReport(model, arch, context, globals_by_source["vocal"],
-                      globals_by_source["music"], tuple(flat))
+                      globals_by_source["music"], tuple(flat), skipped)
 
 
 def evaluate(ckpt: ModelCheckpoint, manifest: DatasetManifest,
@@ -405,19 +423,9 @@ def checkpoint_save(path, ckpt: ModelCheckpoint) -> None:
     blob += _MAGIC
     blob += struct.pack("<II", _VERSION, len(meta_bytes))
     blob += meta_bytes
-    for plane in ckpt.network.parameter_planes():
-        blob += np.ascontiguousarray(plane, dtype="<f8").tobytes()
+    blob += np.ascontiguousarray(ckpt.network.params, dtype="<f8").data
     blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
     Path(path).write_bytes(bytes(blob))
-
-
-def _plane_shapes(kind: str, sizes: list[int]) -> list[tuple[int, int]]:
-    shapes = []
-    reps = 3 if kind == "vp" else 1
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        shapes.extend([(fan_out, fan_in)] * reps)
-        shapes.extend([(fan_out, 1)] * reps)
-    return shapes
 
 
 def checkpoint_load(path, expect_model: str | None = None) -> ModelCheckpoint:
@@ -451,27 +459,12 @@ def checkpoint_load(path, expect_model: str | None = None) -> ModelCheckpoint:
         raise CheckpointError(f"{path}: malformed metadata")
     sizes = [int(s) for s in sizes]
 
-    shapes = _plane_shapes(kind, sizes)
-    n_param_bytes = sum(r * c for r, c in shapes) * 8
-    if len(data) != 12 + meta_len + n_param_bytes + 4:
-        raise CheckpointError(f"{path}: parameter payload has wrong size")
-    planes = []
-    offset = 12 + meta_len
-    for r, c in shapes:
-        count = r * c
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        planes.append(arr.reshape(r, c).astype(np.float64))
-        offset += count * 8
-
-    layers = []
-    per_layer = 6 if kind == "vp" else 2
-    for li in range(len(sizes) - 1):
-        chunk = planes[li * per_layer:(li + 1) * per_layer]
-        if kind == "vp":
-            layers.append(VPLayer(VecMatrix(*chunk[:3]), VecMatrix(*chunk[3:])))
-        else:
-            layers.append(RealLayer(chunk[0], chunk[1]))
-    network = VPNetwork(layers) if kind == "vp" else RealNetwork(layers)
+    try:
+        params = np.frombuffer(memoryview(data)[12 + meta_len:-4], dtype="<f8")
+        network = Network(kind, sizes, params.astype(np.float64))
+    except (ShapeMismatchError, ValueError) as e:
+        raise CheckpointError(f"{path}: parameter payload does not fit the "
+                              f"metadata: {e}") from e
 
     return ModelCheckpoint(
         model=model,

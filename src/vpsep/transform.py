@@ -1,6 +1,7 @@
 """Dimensionality transforms between real magnitudes and 3-vector inputs.
 
-Two encoders are provided.  The context-window encoder packs the
+Vector encodings are ``(3, F, T)`` arrays, one plane per component.  Two
+encoders are provided.  The context-window encoder packs the
 previous/current/next spectrogram frame of each t-f cell into a vector;
 its decoder simply reads back the middle component.  The color encoder
 maps each normalized magnitude onto an RGB ramp (the piecewise-linear
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError, VpsepError
-from .vecmat import VecMatrix
 
 SCALE_FLOOR = 1e-12
 
@@ -71,54 +71,56 @@ def denormalize(s: MagnitudeMatrix) -> np.ndarray:
     return s.data * s.scale
 
 
-def window_frames(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(previous, current, next) frame copies with edge replication."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] < 1:
+def _planes_like(x: np.ndarray) -> np.ndarray:
+    """Uninitialised (3, *x.shape) array whose planes share x's memory
+    order: STFT magnitudes are column-major, and encoding them into
+    row-major planes would cost a transposing pass."""
+    if x.flags.f_contiguous and not x.flags.c_contiguous:
+        return np.empty((3,) + x.shape[::-1]).swapaxes(-1, -2)
+    return np.empty((3,) + x.shape)
+
+
+def window_encode(s: MagnitudeMatrix) -> np.ndarray:
+    """Context-window encoding as a (3, F, T) array: planes are the
+    previous, current, and subsequent frames; first/last frames replicate
+    the edge."""
+    data = s.data
+    if data.shape[1] < 1:
         raise ShapeMismatchError("need at least one frame column")
-    prev = np.concatenate([data[:, :1], data[:, :-1]], axis=1)
-    nxt = np.concatenate([data[:, 1:], data[:, -1:]], axis=1)
-    return prev, data.copy(), nxt
+    v = _planes_like(data)
+    v[0, :, :1], v[0, :, 1:] = data[:, :1], data[:, :-1]
+    v[1] = data
+    v[2, :, :-1], v[2, :, -1:] = data[:, 1:], data[:, -1:]
+    return v
 
 
-def window_encode(s: MagnitudeMatrix) -> VecMatrix:
-    """Context-window encoding: planes are the previous, current, and
-    subsequent frames; first/last frames replicate the edge."""
-    prev, cur, nxt = window_frames(s.data)
-    return VecMatrix(prev, cur, nxt)
-
-
-def window_decode(v: VecMatrix, scale: float = 1.0) -> MagnitudeMatrix:
+def window_decode(v: np.ndarray, scale: float = 1.0) -> MagnitudeMatrix:
     """The current-frame plane, clamped to [0,1]."""
-    return MagnitudeMatrix(np.clip(v.p2, 0.0, 1.0), scale)
+    return MagnitudeMatrix(np.clip(v[1], 0.0, 1.0), scale)
 
 
 def window_stack(s: MagnitudeMatrix) -> np.ndarray:
     """Real-valued context of 3 frames stacked along frequency (3F x T),
     the input layout of the context-3 real baseline."""
-    prev, cur, nxt = window_frames(s.data)
-    return np.vstack([prev, cur, nxt])
+    return np.concatenate(window_encode(s))
 
 
-def _ramp(x: np.ndarray, n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    r = np.clip(x / n, 0.0, 1.0)
-    g = np.clip((x - n) / n, 0.0, 1.0)
-    b = np.clip((x - 2.0 * n) / (1.0 - 2.0 * n), 0.0, 1.0)
-    return r, g, b
-
-
-def color_encode(s: MagnitudeMatrix, p: ColorParams = ColorParams()) -> VecMatrix:
-    """Map each magnitude x in [0,1] to an RGB triple on the ramp:
-    r = clamp(x/n), g = clamp((x-n)/n), b = clamp((x-2n)/(1-2n))."""
-    x = s.data
+def color_encode(s: MagnitudeMatrix, p: ColorParams = ColorParams()) -> np.ndarray:
+    """Map each magnitude x in [0,1] to an RGB triple on the ramp, as a
+    (3, F, T) array: r = clamp(x/n), g = clamp((x-n)/n),
+    b = clamp((x-2n)/(1-2n))."""
+    x, n = s.data, p.n
     if x.size and (x.min() < 0.0 or x.max() > 1.0):
         raise VpsepError("color encoding needs magnitudes in [0, 1]")
-    r, g, b = _ramp(x, p.n)
-    return VecMatrix(r, g, b)
+    v = _planes_like(x)
+    np.clip(x / n, 0.0, 1.0, out=v[0])
+    np.clip((x - n) / n, 0.0, 1.0, out=v[1])
+    np.clip((x - 2.0 * n) / (1.0 - 2.0 * n), 0.0, 1.0, out=v[2])
+    return v
 
 
 def color_decode(
-    v: VecMatrix, p: ColorParams = ColorParams(), scale: float = 1.0
+    v: np.ndarray, p: ColorParams = ColorParams(), scale: float = 1.0
 ) -> MagnitudeMatrix:
     """Project RGB triples back onto the ramp and return the curve
     parameter x in [0,1].
@@ -128,7 +130,7 @@ def color_decode(
     exact.  On-curve inputs therefore invert the encoder; off-curve
     network outputs are projected, never rejected.
     """
-    r, g, b = v.planes()
+    r, g, b = v
     n = p.n
 
     t1 = np.clip(r, 0.0, 1.0)

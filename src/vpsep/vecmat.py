@@ -1,185 +1,39 @@
-"""Three-dimensional vector algebra and vector-valued matrices.
+"""Cross-product matrix product over ``(3, rows, cols)`` arrays.
 
-A ``VecMatrix`` stores a matrix of 3-vectors as three real component
-planes.  In this layout the vector-valued matrix product reduces to six
-plain real matrix multiplications, which is what makes the networks in
+A matrix of 3-vectors is one float64 array of shape ``(3, rows, cols)``:
+``a[:, i, j]`` is the vector at (i, j) and ``a[c]`` is component plane c.
+In this layout the vector-valued matrix product reduces to six plain real
+matrix multiplications, which is what makes the networks in
 :mod:`vpsep.network` fast on CPU BLAS.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatchError
 
 
-@dataclass(frozen=True)
-class Vec3:
-    """A single 3-vector with real components."""
-
-    c1: float
-    c2: float
-    c3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3], dtype=np.float64)
-
-
-def cross(x: Vec3, y: Vec3) -> Vec3:
-    """Cross product of two 3-vectors."""
-    return Vec3(
-        x.c2 * y.c3 - x.c3 * y.c2,
-        x.c3 * y.c1 - x.c1 * y.c3,
-        x.c1 * y.c2 - x.c2 * y.c1,
-    )
-
-
-def dot(x: Vec3, y: Vec3) -> float:
-    return x.c1 * y.c1 + x.c2 * y.c2 + x.c3 * y.c3
-
-
-@dataclass(frozen=True)
-class VecMatrix:
-    """Matrix of 3-vectors stored as three real planes of equal shape.
-
-    Element (i, j), viewed as a vector, is ``(p1[i,j], p2[i,j], p3[i,j])``.
-    """
-
-    p1: np.ndarray
-    p2: np.ndarray
-    p3: np.ndarray
-
-    def __post_init__(self):
-        for name in ("p1", "p2", "p3"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 2:
-                raise ShapeMismatchError(f"{name} must be 2-D, got ndim={arr.ndim}")
-            object.__setattr__(self, name, arr)
-        if not (self.p1.shape == self.p2.shape == self.p3.shape):
-            raise ShapeMismatchError(
-                f"component planes differ in shape: "
-                f"{self.p1.shape}, {self.p2.shape}, {self.p3.shape}"
-            )
-
-    @property
-    def rows(self) -> int:
-        return self.p1.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.p1.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.p1.shape
-
-    def planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.p1, self.p2, self.p3)
-
-    def vec(self, i: int, j: int) -> Vec3:
-        return Vec3(float(self.p1[i, j]), float(self.p2[i, j]), float(self.p3[i, j]))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "VecMatrix":
-        return cls(np.zeros((rows, cols)), np.zeros((rows, cols)), np.zeros((rows, cols)))
-
-    @classmethod
-    def from_vec3(cls, v: Vec3) -> "VecMatrix":
-        """1x1 matrix holding a single vector."""
-        return cls(np.array([[v.c1]]), np.array([[v.c2]]), np.array([[v.c3]]))
-
-    def copy(self) -> "VecMatrix":
-        return VecMatrix(self.p1.copy(), self.p2.copy(), self.p3.copy())
-
-
-def map_planes(f, *ms: VecMatrix) -> VecMatrix:
-    """Apply ``f`` planewise across one or more VecMatrix operands."""
-    return VecMatrix(
-        f(*[m.p1 for m in ms]),
-        f(*[m.p2 for m in ms]),
-        f(*[m.p3 for m in ms]),
-    )
-
-
-def _check_inner(p: VecMatrix, q: VecMatrix) -> None:
-    if p.cols != q.rows:
-        raise ShapeMismatchError(
-            f"inner dimensions do not match: {p.shape} x {q.shape}"
-        )
-
-
-def vec_matmul(p: VecMatrix, q: VecMatrix) -> VecMatrix:
+def vec_matmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Vector-valued matrix product: entry (i,k) = sum_j P[i,j] x Q[j,k].
 
-    Computed as six real matrix multiplications over the component planes.
+    Computed as six real matrix multiplications over the component planes
+    of C-ordered operands; others, such as transposed views, are copied
+    first, because BLAS can round a transposed operand differently.
     """
-    _check_inner(p, q)
-    return VecMatrix(
-        p.p2 @ q.p3 - p.p3 @ q.p2,
-        p.p3 @ q.p1 - p.p1 @ q.p3,
-        p.p1 @ q.p2 - p.p2 @ q.p1,
-    )
-
-
-def vec_matmul_naive(p: VecMatrix, q: VecMatrix) -> VecMatrix:
-    """Reference implementation of :func:`vec_matmul` via per-entry cross
-    products, accumulated row-major in ascending j.  Test oracle only.
-    """
-    _check_inner(p, q)
-    out = VecMatrix.zeros(p.rows, q.cols)
-    for i in range(p.rows):
-        for k in range(q.cols):
-            acc = Vec3(0.0, 0.0, 0.0)
-            for j in range(p.cols):
-                c = cross(p.vec(i, j), q.vec(j, k))
-                acc = Vec3(acc.c1 + c.c1, acc.c2 + c.c2, acc.c3 + c.c3)
-            out.p1[i, k] = acc.c1
-            out.p2[i, k] = acc.c2
-            out.p3[i, k] = acc.c3
+    for name, m in (("left", p), ("right", q)):
+        if np.ndim(m) != 3 or np.shape(m)[0] != 3:
+            raise ShapeMismatchError(
+                f"{name} operand must have shape (3, rows, cols), got {np.shape(m)}"
+            )
+    if p.shape[2] != q.shape[1]:
+        raise ShapeMismatchError(
+            f"inner dimensions do not match: {p.shape[1:]} x {q.shape[1:]}"
+        )
+    p1, p2, p3 = np.ascontiguousarray(p)
+    q1, q2, q3 = np.ascontiguousarray(q)
+    out = np.empty((3, p.shape[1], q.shape[2]))
+    np.subtract(p2 @ q3, p3 @ q2, out=out[0])
+    np.subtract(p3 @ q1, p1 @ q3, out=out[1])
+    np.subtract(p1 @ q2, p2 @ q1, out=out[2])
     return out
-
-
-def vm_add(a: VecMatrix, b: VecMatrix) -> VecMatrix:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return map_planes(np.add, a, b)
-
-
-def vm_sub(a: VecMatrix, b: VecMatrix) -> VecMatrix:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return map_planes(np.subtract, a, b)
-
-
-def vm_scale(a: VecMatrix, s: float) -> VecMatrix:
-    return map_planes(lambda p: p * s, a)
-
-
-def vm_frob_sq(a: VecMatrix) -> float:
-    """Squared Frobenius norm summed over all three planes."""
-    return float(np.sum(a.p1 * a.p1) + np.sum(a.p2 * a.p2) + np.sum(a.p3 * a.p3))
-
-
-def vm_transpose(a: VecMatrix) -> VecMatrix:
-    return VecMatrix(a.p1.T.copy(), a.p2.T.copy(), a.p3.T.copy())
-
-
-def vm_vstack(a: VecMatrix, b: VecMatrix) -> VecMatrix:
-    if a.cols != b.cols:
-        raise ShapeMismatchError(f"column counts differ: {a.shape} vs {b.shape}")
-    return map_planes(lambda x, y: np.vstack([x, y]), a, b)
-
-
-def vm_split_rows(a: VecMatrix, k: int) -> tuple[VecMatrix, VecMatrix]:
-    """Split into the first k rows and the rest."""
-    if not 0 <= k <= a.rows:
-        raise ShapeMismatchError(f"cannot split {a.rows} rows at {k}")
-    top = VecMatrix(a.p1[:k], a.p2[:k], a.p3[:k])
-    bottom = VecMatrix(a.p1[k:], a.p2[k:], a.p3[k:])
-    return top, bottom
-
-
-def vm_take_cols(a: VecMatrix, idx) -> VecMatrix:
-    return VecMatrix(a.p1[:, idx], a.p2[:, idx], a.p3[:, idx])

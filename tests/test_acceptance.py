@@ -14,16 +14,12 @@ from vpsep import (
     ExperimentConfig,
     MagnitudeMatrix,
     ModelCheckpoint,
-    VecMatrix,
-    Vec3,
     Waveform,
     apply_mask_and_reconstruct,
     bss_decompose,
     color_decode,
     color_encode,
     covered_length,
-    cross,
-    dot,
     evaluate,
     evaluate_ideal,
     init_real_network,
@@ -41,7 +37,6 @@ from vpsep import (
     synth_dataset,
     train,
     vec_matmul,
-    vec_matmul_naive,
     vp_backward,
     vp_forward,
     window_decode,
@@ -51,6 +46,7 @@ from vpsep.dataset import load_clip_mixture, load_clip_stems
 from vpsep.pipeline import _split_sources, _stack_sources
 
 from conftest import central_diff, max_rel_grad_err
+from oracles import Vec3, cross, dot, vec_matmul_naive
 
 COLOR_N = 0.0938
 
@@ -84,12 +80,12 @@ def test_criterion_02_matmul_oracle_equivalence():
     worst = 0.0
     for _ in range(100):
         m, k, n = rng.integers(1, 17, size=3)
-        p = VecMatrix(*(rng.standard_normal((m, k)) for _ in range(3)))
-        q = VecMatrix(*(rng.standard_normal((k, n)) for _ in range(3)))
+        p = np.stack([rng.standard_normal((m, k)) for _ in range(3)])
+        q = np.stack([rng.standard_normal((k, n)) for _ in range(3)])
         fast = vec_matmul(p, q)
         slow = vec_matmul_naive(p, q)
         worst = max(worst, max(np.max(np.abs(a - b))
-                               for a, b in zip(fast.planes(), slow.planes())))
+                               for a, b in zip(fast, slow)))
     assert worst <= 1e-12
     assert monotonic() - t0 < 1.0
 
@@ -107,8 +103,8 @@ def _grad_check_vp(net, x, target):
         j, _ = loss_j(qv, tv, qm, tm)
         return j
 
-    numeric = central_diff(f, net.parameter_planes(), eps=1e-6)
-    return max_rel_grad_err(grads.planes(), numeric)
+    numeric = central_diff(f, [net.params], eps=1e-6)
+    return max_rel_grad_err([grads], numeric)
 
 
 def _grad_check_real(net, x, target):
@@ -124,8 +120,8 @@ def _grad_check_real(net, x, target):
         j, _ = loss_j(qv, tv, qm, tm)
         return j
 
-    numeric = central_diff(f, net.parameter_planes(), eps=1e-6)
-    return max_rel_grad_err(grads.planes(), numeric)
+    numeric = central_diff(f, [net.params], eps=1e-6)
+    return max_rel_grad_err([grads], numeric)
 
 
 def test_criterion_03_gradients_match_finite_differences():
@@ -194,14 +190,12 @@ def test_criterion_04_transform_roundtrips_and_projection():
         return best_x, best_d
 
     example = np.array([[0.5, -0.1, 0.0]])
-    got_x = color_decode(
-        VecMatrix(example[:, 0:1], example[:, 1:2], example[:, 2:3])
-    ).data[0, 0]
+    got_x = color_decode(example.T[:, :, None]).data[0, 0]
     oracle_x, _ = grid_best(example)
     assert abs(got_x - oracle_x[0]) < 1e-6
 
     pts = rng.uniform(-0.5, 1.5, (200, 3))
-    dec = color_decode(VecMatrix(pts[:, 0:1], pts[:, 1:2], pts[:, 2:3]))
+    dec = color_decode(pts.T[:, :, None])
     px = dec.data[:, 0]
     pr = np.clip(px / COLOR_N, 0, 1)
     pg = np.clip((px - COLOR_N) / COLOR_N, 0, 1)

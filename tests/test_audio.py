@@ -17,10 +17,9 @@ from vpsep import (
     soft_mask,
     stft,
     wav_read,
-    wav_read_channels,
     wav_write,
 )
-from vpsep.audio import n_frames_for
+from vpsep.audio import n_frames_for, wav_read_channels
 from vpsep.errors import AudioError, ShapeMismatchError, WavFormatError
 
 

@@ -189,6 +189,22 @@ def test_evaluate_train_split(cli_env, capsys):
     assert out.startswith("model\t")
 
 
+def test_evaluate_lists_skipped_clips_on_stderr(tmp_path, capsys):
+    data = tmp_path / "corpus"
+    assert main(["synth", "--out", str(data), "--train", "1", "--test", "2",
+                 "--duration", "0.5"]) == 0
+    capsys.readouterr()
+    music = wav_read(data / "clip001" / "music.wav")
+    wav_write(data / "clip001" / "vocal.wav",
+              Waveform(np.zeros(len(music)), music.sample_rate), fmt="float32")
+    wav_write(data / "clip001" / "mix.wav", music, fmt="float32")
+    code, out, err = run(capsys, "evaluate", "--ideal", "soft",
+                         "--data", str(data), "--filter-len", "8")
+    assert code == 0
+    assert "skipped (silent stem): clip001" in err
+    assert out.startswith("model\t")
+
+
 def test_evaluate_empty_split_fails(tmp_path, capsys):
     data = tmp_path / "train-only"
     assert main(["synth", "--out", str(data), "--train", "1", "--test", "0",

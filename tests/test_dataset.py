@@ -7,9 +7,7 @@ from vpsep import (
     ClipEntry,
     DatasetManifest,
     ExperimentConfig,
-    VecMatrix,
     Waveform,
-    build_training_set,
     load_manifest,
     normalize,
     nsdr,
@@ -157,31 +155,27 @@ def test_color_frames_shapes_and_range(tiny_corpus):
     entry = tiny_corpus.train_clips[0]
     x, t = clip_training_frames(entry, cfg)
     frames = expected_frames(entry)
-    assert isinstance(x, VecMatrix)
-    assert x.shape == (N_BINS, frames)
-    assert t.shape == (2 * N_BINS, frames)
-    for plane in list(x.planes()) + list(t.planes()):
+    assert x.shape == (3, N_BINS, frames)
+    assert t.shape == (3, 2 * N_BINS, frames)
+    for plane in list(x) + list(t):
         assert plane.min() >= 0.0 and plane.max() <= 1.0
 
 
 def test_window_vp_frames_shapes(tiny_corpus):
     cfg = ExperimentConfig(model="WVPNN")
     x, t = clip_training_frames(tiny_corpus.train_clips[0], cfg)
-    assert isinstance(x, VecMatrix)
-    assert x.rows == N_BINS
-    assert t.rows == 2 * N_BINS
+    assert x.shape[:2] == (3, N_BINS)
+    assert t.shape[:2] == (3, 2 * N_BINS)
     # middle plane carries the frame itself; neighbors are shifts of it
-    assert np.array_equal(x.p1[:, 1:], x.p2[:, :-1])
-    assert np.array_equal(x.p3[:, :-1], x.p2[:, 1:])
+    assert np.array_equal(x[0, :, 1:], x[1, :, :-1])
+    assert np.array_equal(x[2, :, :-1], x[1, :, 1:])
 
 
 def test_window_real_frames_shapes(tiny_corpus):
     cfg = ExperimentConfig(model="DNN3")
     x, t = clip_training_frames(tiny_corpus.train_clips[0], cfg)
-    assert isinstance(x, np.ndarray)
-    assert x.shape[0] == 3 * N_BINS
-    assert isinstance(t, np.ndarray)
-    assert t.shape[0] == 2 * N_BINS
+    assert x.ndim == 2 and x.shape[0] == 3 * N_BINS
+    assert t.ndim == 2 and t.shape[0] == 2 * N_BINS
 
 
 def test_plain_frames_shapes(tiny_corpus):
@@ -207,10 +201,10 @@ def test_load_training_frames_concatenates_clips(tiny_corpus):
     cfg = ExperimentConfig(model="CVPNN")
     x_all, t_all = load_training_frames(tiny_corpus, cfg)
     per_clip = [clip_training_frames(c, cfg)[0] for c in tiny_corpus.train_clips]
-    want_cols = sum(p.cols for p in per_clip)
-    assert x_all.cols == want_cols
-    assert t_all.cols == want_cols
-    assert np.array_equal(x_all.p1[:, :per_clip[0].cols], per_clip[0].p1)
+    want_cols = sum(p.shape[-1] for p in per_clip)
+    assert x_all.shape[-1] == want_cols
+    assert t_all.shape[-1] == want_cols
+    assert np.array_equal(x_all[..., :per_clip[0].shape[-1]], per_clip[0])
 
 
 def test_load_training_frames_requires_training_split(tmp_path):
@@ -235,22 +229,31 @@ def test_make_batches_covers_every_frame_once():
 
 def test_make_batches_vecmatrix_route():
     rng = np.random.default_rng(1)
-    x = VecMatrix(*(np.arange(10.0).reshape(1, 10) + k for k in range(3)))
+    x = np.stack([np.arange(10.0).reshape(1, 10) + k for k in range(3)])
     t = x.copy()
     batches = make_batches(x, t, batch_frames=6, rng=rng)
-    assert [b[0].cols for b in batches] == [6, 4]
-    seen = np.sort(np.concatenate([b[0].p1[0] for b in batches]))
-    assert np.array_equal(seen, x.p1[0])
+    assert [b[0].shape for b in batches] == [(3, 1, 6), (3, 1, 4)]
+    seen = np.sort(np.concatenate([b[0][0, 0] for b in batches]))
+    assert np.array_equal(seen, x[0, 0])
+    for bx, _ in batches:
+        assert np.array_equal(bx[1] - bx[0], np.ones_like(bx[0]))
 
 
 def test_build_training_set_deterministic(tiny_corpus):
+    # one shuffled pass of minibatches, as the trainer builds it
     cfg = ExperimentConfig(model="CVPNN", batch_frames=16, seed=4)
-    a = build_training_set(tiny_corpus, cfg)
-    b = build_training_set(tiny_corpus, cfg)
+
+    def one_pass():
+        x_all, t_all = load_training_frames(tiny_corpus, cfg)
+        return make_batches(x_all, t_all, cfg.batch_frames,
+                            np.random.default_rng([cfg.seed, 1]))
+
+    a = one_pass()
+    b = one_pass()
     assert len(a) == len(b)
     for (ax, at), (bx, bt) in zip(a, b):
-        assert np.array_equal(ax.p1, bx.p1)
-        assert np.array_equal(at.p3, bt.p3)
+        assert np.array_equal(ax, bx)
+        assert np.array_equal(at, bt)
 
 
 def test_ideal_binary_mask_beats_mixture_by_5db(tiny_corpus):

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import expit
 
 from vpsep import (
-    VecMatrix,
+    Network,
     init_real_network,
     init_vp_network,
     loss_j,
@@ -14,34 +14,35 @@ from vpsep import (
     vp_forward,
 )
 from vpsep.errors import ShapeMismatchError
-from vpsep.network import RealLayer, RealNetwork, VPLayer, VPNetwork
-from vpsep.optim import sgd_step
-from vpsep.vecmat import vec_matmul_naive, vm_add, vm_frob_sq, vm_sub
 
 from conftest import central_diff, max_rel_grad_err
+from oracles import vec_at, vec_matmul_naive
 
 
 def vec_col(*triples):
-    cols = np.array(triples, dtype=np.float64)
-    return VecMatrix(cols[:, 0:1].copy(), cols[:, 1:2].copy(),
-                     cols[:, 2:3].copy())
+    """Column of 3-vectors as a (3, len(triples), 1) array."""
+    return np.array(triples, dtype=np.float64).T[:, :, None].copy()
+
+
+def rand_vm(rng, rows, cols, draw="standard_normal"):
+    return np.stack([getattr(rng, draw)(size=(rows, cols)) for _ in range(3)])
+
+
+def frob_sq(e):
+    return float(np.sum(e * e))
 
 
 def single_layer(w_triple, b_triple):
-    w = VecMatrix(*(np.array([[c]], dtype=float) for c in w_triple))
-    b = VecMatrix(*(np.array([[c]], dtype=float) for c in b_triple))
-    return VPNetwork([VPLayer(w, b)])
+    return Network("vp", [1, 1], np.array([*w_triple, *b_triple], dtype=float))
 
 
 def test_vp_forward_zero_net_outputs_half():
     net = init_vp_network([3, 4, 2], seed=0)
-    for layer in net.layers:
-        for plane in layer.W.planes():
-            plane[:] = 0.0
-    a0 = VecMatrix(*(np.random.default_rng(0).standard_normal((3, 5))
-                     for _ in range(3)))
+    for w, _ in net.layers:
+        w[...] = 0.0
+    a0 = rand_vm(np.random.default_rng(0), 3, 5)
     y, _ = vp_forward(net, a0)
-    for plane in y.planes():
+    for plane in y:
         assert np.all(plane == 0.5)
 
 
@@ -50,7 +51,7 @@ def test_vp_forward_bias_only():
     a0 = vec_col((7.0, -3.0, 0.5))
     y, _ = vp_forward(net, a0)
     want = expit(np.array([0.3, -1.2, 2.0]))
-    got = y.vec(0, 0).as_array()
+    got = vec_at(y, 0, 0).as_array()
     assert np.allclose(got, want, rtol=0, atol=1e-15)
 
 
@@ -59,51 +60,49 @@ def test_vp_forward_cross_example():
     a0 = vec_col((4.0, 5.0, 6.0))
     y, _ = vp_forward(net, a0)
     want = expit(np.array([-3.0, 6.0, -3.0]))
-    assert np.allclose(y.vec(0, 0).as_array(), want, rtol=0, atol=1e-15)
+    assert np.allclose(vec_at(y, 0, 0).as_array(), want, rtol=0, atol=1e-15)
 
 
 def test_vp_forward_deterministic_and_bounded():
     net = init_vp_network([4, 6, 3], seed=5)
     rng = np.random.default_rng(6)
-    a0 = VecMatrix(*(rng.standard_normal((4, 7)) for _ in range(3)))
+    a0 = rand_vm(rng, 4, 7)
     y1, _ = vp_forward(net, a0)
     y2, _ = vp_forward(net, a0)
-    for p1, p2 in zip(y1.planes(), y2.planes()):
+    for p1, p2 in zip(y1, y2):
         assert np.array_equal(p1, p2)
         assert np.all((p1 > 0.0) & (p1 < 1.0))
 
 
 def test_vp_forward_shape_mismatch():
     net = init_vp_network([4, 6, 3], seed=5)
-    bad = VecMatrix.zeros(5, 2)
     with pytest.raises(ShapeMismatchError):
-        vp_forward(net, bad)
+        vp_forward(net, np.zeros((3, 5, 2)))
+    with pytest.raises(ShapeMismatchError):
+        vp_forward(net, np.zeros((4, 2)))
 
 
 def test_vp_forward_matches_naive_matmul_route():
     net = init_vp_network([5, 7, 4], seed=8)
     rng = np.random.default_rng(9)
-    a0 = VecMatrix(*(rng.uniform(0, 1, (5, 6)) for _ in range(3)))
+    a0 = rand_vm(rng, 5, 6, "uniform")
     y_fast, _ = vp_forward(net, a0)
 
     a = a0
-    for layer in net.layers:
-        z = vm_add(vec_matmul_naive(layer.W, a),
-                   VecMatrix(*(np.broadcast_to(p, (layer.W.rows, a.cols)).copy()
-                               for p in layer.B.planes())))
-        a = VecMatrix(*(expit(p) for p in z.planes()))
-    for fast, slow in zip(y_fast.planes(), a.planes()):
+    for w, b in net.layers:
+        a = expit(vec_matmul_naive(w, a) + b)
+    for fast, slow in zip(y_fast, a):
         assert np.max(np.abs(fast - slow)) <= 1e-12
 
 
 def test_vp_backward_zero_upstream():
     net = init_vp_network([3, 5, 2], seed=1)
     rng = np.random.default_rng(2)
-    a0 = VecMatrix(*(rng.standard_normal((3, 4)) for _ in range(3)))
+    a0 = rand_vm(rng, 3, 4)
     _, cache = vp_forward(net, a0)
-    grads = vp_backward(net, cache, VecMatrix.zeros(2, 4))
-    for g in grads.planes():
-        assert np.all(g == 0.0)
+    grads = vp_backward(net, cache, np.zeros((3, 2, 4)))
+    assert grads.shape == net.params.shape
+    assert np.all(grads == 0.0)
 
 
 def test_vp_backward_single_1x1_finite_difference():
@@ -114,41 +113,37 @@ def test_vp_backward_single_1x1_finite_difference():
     target = vec_col(tuple(rng.uniform(0.2, 0.8, 3)))
 
     y, cache = vp_forward(net, a0)
-    d_out = VecMatrix(*(2 * (yp - tp) for yp, tp in
-                        zip(y.planes(), target.planes())))
-    grads = vp_backward(net, cache, d_out)
+    grads = vp_backward(net, cache, 2 * (y - target))
 
     def f():
         yy, _ = vp_forward(net, a0)
-        return vm_frob_sq(vm_sub(yy, target))
+        return frob_sq(yy - target)
 
-    numeric = central_diff(f, net.parameter_planes())
-    assert max_rel_grad_err(grads.planes(), numeric) < 1e-5
+    numeric = central_diff(f, [net.params])
+    assert max_rel_grad_err([grads], numeric) < 1e-5
 
 
 def test_vp_backward_three_layer_finite_difference():
     rng = np.random.default_rng(4)
     net = init_vp_network([5, 8, 4, 4], seed=13)
-    a0 = VecMatrix(*(rng.uniform(0, 1, (5, 3)) for _ in range(3)))
-    target = VecMatrix(*(rng.uniform(0, 1, (4, 3)) for _ in range(3)))
+    a0 = rand_vm(rng, 5, 3, "uniform")
+    target = rand_vm(rng, 4, 3, "uniform")
 
     y, cache = vp_forward(net, a0)
-    d_out = VecMatrix(*(2 * (yp - tp) for yp, tp in
-                        zip(y.planes(), target.planes())))
-    grads = vp_backward(net, cache, d_out)
+    grads = vp_backward(net, cache, 2 * (y - target))
 
     def f():
         yy, _ = vp_forward(net, a0)
-        return vm_frob_sq(vm_sub(yy, target))
+        return frob_sq(yy - target)
 
-    numeric = central_diff(f, net.parameter_planes())
-    assert max_rel_grad_err(grads.planes(), numeric) < 1e-4
+    numeric = central_diff(f, [net.params])
+    assert max_rel_grad_err([grads], numeric) < 1e-4
 
 
 def test_real_forward_zero_net_outputs_half():
     net = init_real_network([4, 3, 2], seed=0)
-    for layer in net.layers:
-        layer.W[:] = 0.0
+    for w, _ in net.layers:
+        w[...] = 0.0
     x = np.random.default_rng(1).standard_normal((4, 6))
     y, _ = real_forward(net, x)
     assert np.all(y == 0.5)
@@ -167,8 +162,8 @@ def test_real_backward_finite_difference():
         yy, _ = real_forward(net, x)
         return float(np.sum((yy - target) ** 2))
 
-    numeric = central_diff(f, net.parameter_planes())
-    assert max_rel_grad_err(grads.planes(), numeric) < 1e-4
+    numeric = central_diff(f, [net.params])
+    assert max_rel_grad_err([grads], numeric) < 1e-4
 
 
 def test_context_stacked_real_network_shapes():
@@ -181,35 +176,35 @@ def test_context_stacked_real_network_shapes():
 
 def test_loss_j_zero_when_equal():
     rng = np.random.default_rng(6)
-    a = VecMatrix(*(rng.standard_normal((3, 4)) for _ in range(3)))
-    b = VecMatrix(*(rng.standard_normal((3, 4)) for _ in range(3)))
+    a = rand_vm(rng, 3, 4)
+    b = rand_vm(rng, 3, 4)
     j, (g1, g2) = loss_j(a, a.copy(), b, b.copy())
     assert j == 0.0
-    assert vm_frob_sq(g1) == 0.0 and vm_frob_sq(g2) == 0.0
+    assert frob_sq(g1) == 0.0 and frob_sq(g2) == 0.0
 
 
 def test_loss_j_unit_difference():
-    ones = VecMatrix(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
-    zero = VecMatrix.zeros(1, 1)
+    ones = np.ones((3, 1, 1))
+    zero = np.zeros((3, 1, 1))
     j, _ = loss_j(ones, zero, zero, zero.copy())
     assert j == 3.0
 
 
 def test_loss_j_gradient_is_finite_difference_exact():
     rng = np.random.default_rng(7)
-    pred1 = VecMatrix(*(rng.standard_normal((2, 3)) for _ in range(3)))
-    pred2 = VecMatrix(*(rng.standard_normal((2, 3)) for _ in range(3)))
-    t1 = VecMatrix(*(rng.standard_normal((2, 3)) for _ in range(3)))
-    t2 = VecMatrix(*(rng.standard_normal((2, 3)) for _ in range(3)))
+    pred1 = rand_vm(rng, 2, 3)
+    pred2 = rand_vm(rng, 2, 3)
+    t1 = rand_vm(rng, 2, 3)
+    t2 = rand_vm(rng, 2, 3)
     _, (g1, g2) = loss_j(pred1, t1, pred2, t2)
 
     def f():
         j, _ = loss_j(pred1, t1, pred2, t2)
         return j
 
-    numeric1 = central_diff(f, list(pred1.planes()))
-    numeric2 = central_diff(f, list(pred2.planes()))
-    for a, n in zip(list(g1.planes()) + list(g2.planes()), numeric1 + numeric2):
+    numeric1 = central_diff(f, list(pred1))
+    numeric2 = central_diff(f, list(pred2))
+    for a, n in zip(list(g1) + list(g2), numeric1 + numeric2):
         assert np.max(np.abs(a - n)) < 1e-8
 
 
@@ -247,18 +242,16 @@ def test_param_count_reports_wide_real_baseline():
 def test_init_deterministic_and_zero_bias():
     a = init_vp_network([4, 6, 2], seed=42)
     b = init_vp_network([4, 6, 2], seed=42)
-    for pa, pb in zip(a.parameter_planes(), b.parameter_planes()):
-        assert np.array_equal(pa, pb)
-    for layer in a.layers:
-        for plane in layer.B.planes():
-            assert np.all(plane == 0.0)
+    assert np.array_equal(a.params, b.params)
+    for _, bias in a.layers:
+        assert np.all(bias == 0.0)
     c = init_vp_network([4, 6, 2], seed=43)
-    assert not np.array_equal(a.layers[0].W.p1, c.layers[0].W.p1)
+    assert not np.array_equal(a.layers[0][0][0], c.layers[0][0][0])
 
 
 def test_init_weight_mean_near_zero():
     net = init_vp_network([320, 105], seed=77)
-    draws = np.concatenate([p.ravel() for p in net.layers[0].W.planes()])
+    draws = net.layers[0][0].ravel()
     lim = np.sqrt(6.0 / (320 + 105))
     se = lim / np.sqrt(3.0 * draws.size)
     assert draws.size >= 100000
@@ -276,30 +269,27 @@ def test_init_rejects_zero_width():
 def test_small_sgd_step_decreases_loss():
     rng = np.random.default_rng(8)
     net = init_vp_network([4, 6, 3], seed=3)
-    a0 = VecMatrix(*(rng.uniform(0, 1, (4, 5)) for _ in range(3)))
-    target = VecMatrix(*(rng.uniform(0, 1, (3, 5)) for _ in range(3)))
+    a0 = rand_vm(rng, 4, 5, "uniform")
+    target = rand_vm(rng, 3, 5, "uniform")
 
     y, cache = vp_forward(net, a0)
-    j_before = vm_frob_sq(vm_sub(y, target))
-    d_out = VecMatrix(*(2 * (yp - tp) for yp, tp in
-                        zip(y.planes(), target.planes())))
-    grads = vp_backward(net, cache, d_out)
-    net.set_parameter_planes(sgd_step(net.parameter_planes(),
-                                      grads.planes(), lr=1e-3))
+    j_before = frob_sq(y - target)
+    grads = vp_backward(net, cache, 2 * (y - target))
+    net.params -= 1e-3 * grads  # the layer views follow the buffer
     y2, _ = vp_forward(net, a0)
-    j_after = vm_frob_sq(vm_sub(y2, target))
+    j_after = frob_sq(y2 - target)
     assert j_after < j_before
 
 
 def test_networks_validate_chaining():
-    w_ok = VecMatrix.zeros(3, 2)
-    b_ok = VecMatrix.zeros(3, 1)
-    w_bad = VecMatrix.zeros(2, 5)
-    b_bad = VecMatrix.zeros(2, 1)
+    # layers chain by construction; the buffer must fit the widths exactly
+    net = Network("vp", [2, 3, 5])
+    assert [w.shape for w, _ in net.layers] == [(3, 3, 2), (3, 5, 3)]
+    assert [b.shape for _, b in net.layers] == [(3, 3, 1), (3, 5, 1)]
+    assert Network("real", [2, 3, 5]).params.size == 3 * 2 + 3 + 5 * 3 + 5
     with pytest.raises(ShapeMismatchError):
-        VPNetwork([VPLayer(w_ok, b_ok), VPLayer(w_bad, b_bad)])
+        Network("vp", [2, 3, 5], np.zeros(net.params.size + 1))
     with pytest.raises(ShapeMismatchError):
-        VPLayer(VecMatrix.zeros(3, 2), VecMatrix.zeros(4, 1))
+        Network("real", [2, 3, 5], np.zeros(net.params.size))
     with pytest.raises(ShapeMismatchError):
-        RealNetwork([RealLayer(np.zeros((3, 2)), np.zeros((3, 1))),
-                     RealLayer(np.zeros((2, 5)), np.zeros((2, 1)))])
+        Network("complex", [2, 3])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vpsep.errors import ShapeMismatchError, VpsepError
-from vpsep.optim import AdamState, adam_init, adam_step, sgd_step
+from vpsep.optim import AdamState, adam_init, adam_step
 
 
 def arrs(*vals):
@@ -137,27 +137,3 @@ def test_adam_state_validates_hyperparameters():
     with pytest.raises(VpsepError):
         AdamState(m=[], v=[], t=-1)
 
-
-def test_sgd_single_value():
-    new_p = sgd_step(arrs([[1.0]]), arrs([[0.5]]), lr=0.1)
-    assert new_p[0][0, 0] == 0.95
-
-
-def test_sgd_moves_against_gradient():
-    rng = np.random.default_rng(0)
-    params = [rng.standard_normal((3, 4))]
-    grads = [rng.standard_normal((3, 4))]
-    new_p = sgd_step(params, grads, lr=0.01)
-    moved = new_p[0] - params[0]
-    assert np.array_equal(np.sign(moved), -np.sign(grads[0]))
-
-
-def test_sgd_rejects_bad_lr_and_mismatch():
-    with pytest.raises(VpsepError):
-        sgd_step(arrs([[1.0]]), arrs([[1.0]]), lr=0.0)
-    with pytest.raises(VpsepError):
-        sgd_step(arrs([[1.0]]), arrs([[1.0]]), lr=-1.0)
-    with pytest.raises(ShapeMismatchError):
-        sgd_step(arrs([[1.0]]), arrs([[1.0, 2.0]]), lr=0.1)
-    with pytest.raises(VpsepError):
-        sgd_step(arrs([[1.0]]), arrs([[np.nan]]), lr=0.1)

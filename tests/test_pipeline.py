@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,12 @@ from vpsep import (
     TARGET_RATE,
     ExperimentConfig,
     ModelCheckpoint,
-    VecMatrix,
     Waveform,
     checkpoint_load,
     checkpoint_save,
     evaluate,
     evaluate_ideal,
+    init_network,
     init_real_network,
     init_vp_network,
     load_manifest,
@@ -24,7 +26,8 @@ from vpsep import (
     train,
     vp_forward,
 )
-from vpsep.dataset import load_clip_mixture, load_clip_stems
+from vpsep.audio import wav_read, wav_write
+from vpsep.dataset import DatasetManifest, load_clip_mixture, load_clip_stems, synth_dataset
 from vpsep.errors import (
     CheckpointError,
     DatasetError,
@@ -43,11 +46,7 @@ def small_cfg(**kw):
 
 def fresh_ckpt(model="CVPNN", width=24, layers=2, seed=0):
     cfg = ExperimentConfig(model=model, hidden_width=width, hidden_layers=layers)
-    sizes = cfg.network_sizes(N_BINS)
-    if cfg.kind == "vp":
-        net = init_vp_network(sizes, seed=seed)
-    else:
-        net = init_real_network(sizes, seed=seed)
+    net = init_network(cfg.kind, cfg.network_sizes(N_BINS), seed=seed)
     return ModelCheckpoint(model=model, hidden_width=width, hidden_layers=layers,
                            transform=cfg.transform, color_n=cfg.color_n,
                            network=net)
@@ -60,9 +59,7 @@ def test_train_zero_epochs_returns_initialization(tiny_corpus):
     assert ckpt.epochs_trained == 0
     assert ckpt.final_j is None
     want = init_vp_network(cfg.network_sizes(N_BINS), seed=[cfg.seed, 0])
-    for got, ref in zip(ckpt.network.parameter_planes(),
-                        want.parameter_planes()):
-        assert np.array_equal(got, ref)
+    assert np.array_equal(ckpt.network.params, want.params)
 
 
 def test_train_history_shrinks(tiny_corpus):
@@ -79,9 +76,7 @@ def test_train_is_deterministic(tiny_corpus):
     a, ha = train(small_cfg(), tiny_corpus)
     b, hb = train(small_cfg(), tiny_corpus)
     assert ha == hb
-    for pa, pb in zip(a.network.parameter_planes(),
-                      b.network.parameter_planes()):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(a.network.params, b.network.params)
     c, hc = train(small_cfg(seed=1), tiny_corpus)
     assert hc != ha
 
@@ -238,6 +233,38 @@ def test_evaluate_empty_split_raises(tmp_path, tiny_corpus):
         evaluate(ckpt, only_train, split="test")
 
 
+def _silence_vocal(entry):
+    """Make a clip instrumental: an all-zero vocal stem, music as the mix."""
+    music = wav_read(entry.music_path)
+    wav_write(entry.vocal_path, Waveform(np.zeros(len(music)), music.sample_rate),
+              fmt="float32")
+    wav_write(entry.mix_path, music, fmt="float32")
+
+
+def test_evaluate_skips_clip_with_silent_stem(tmp_path):
+    manifest = synth_dataset(tmp_path, seed=5, n_train=1, n_test=3, duration_s=1.0)
+    silent = manifest.test_clips[1]
+    _silence_vocal(silent)
+    ckpt = fresh_ckpt(width=8, layers=1)
+    report = evaluate(ckpt, manifest, filter_len=16)
+    assert report.skipped == (silent.clip_id,)
+
+    rest = DatasetManifest(manifest.root,
+                           tuple(c for c in manifest.clips if c is not silent))
+    want = evaluate(ckpt, rest, filter_len=16)
+    assert want.skipped == ()
+    assert report.vocal == want.vocal
+    assert report.music == want.music
+    assert report.clips == want.clips
+
+
+def test_evaluate_all_clips_silent_raises(tmp_path):
+    manifest = synth_dataset(tmp_path, seed=6, n_train=1, n_test=1, duration_s=1.0)
+    _silence_vocal(manifest.test_clips[0])
+    with pytest.raises(DatasetError, match="silent stem"):
+        evaluate_ideal(manifest, filter_len=16)
+
+
 def test_evaluate_ideal_reports_oracle_label(tiny_corpus):
     report = evaluate_ideal(tiny_corpus, kind="soft", filter_len=16)
     assert report.model == "IDEAL-soft"
@@ -257,14 +284,12 @@ def test_checkpoint_roundtrip_preserves_behavior(tiny_corpus, tmp_path):
     assert back.epochs_trained == 1
     assert back.final_j == ckpt.final_j
     assert back.sizes == ckpt.sizes
-    for a, b in zip(ckpt.network.parameter_planes(),
-                    back.network.parameter_planes()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(ckpt.network.params, back.network.params)
     rng = np.random.default_rng(0)
-    x = VecMatrix(*(rng.uniform(0, 1, (N_BINS, 5)) for _ in range(3)))
+    x = np.stack([rng.uniform(0, 1, (N_BINS, 5)) for _ in range(3)])
     ya, _ = vp_forward(ckpt.network, x)
     yb, _ = vp_forward(back.network, x)
-    for pa, pb in zip(ya.planes(), yb.planes()):
+    for pa, pb in zip(ya, yb):
         assert np.array_equal(pa, pb)
 
 
@@ -277,9 +302,34 @@ def test_checkpoint_roundtrip_real_model(tiny_corpus, tmp_path):
     back = checkpoint_load(path)
     assert back.kind == "real"
     assert back.sizes == [3 * N_BINS, 16, 2 * N_BINS]
-    for a, b in zip(ckpt.network.parameter_planes(),
-                    back.network.parameter_planes()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(ckpt.network.params, back.network.params)
+
+
+# sha256 of checkpoint_save bytes for freshly initialized networks (seed 0),
+# recorded from the v1 writer; any change to parameter order, layout or the
+# order of the initial draws changes them.
+V1_GOLDEN = {
+    "CVPNN": ("vp", [6, 4, 4, 12], 4, 2, "color",
+              "351c943244168bfc48aa1af7a58b627ea56a58d972b282f214d50c0b2d20225d"),
+    "WVPNN": ("vp", [6, 5, 12], 5, 1, "window",
+              "c264de75b9909e68fcf8d3ae6333b0f3f39b00b009f7b24bb636ebd77165e29f"),
+    "DNN3": ("real", [18, 7, 12], 7, 1, "window",
+             "5b694bdb8ea6b3953f727e37b30a5bf595e29143196f2ea8447c058a9d76202f"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(V1_GOLDEN))
+def test_checkpoint_v1_golden_bytes(model, tmp_path):
+    kind, sizes, width, layers, transform, digest = V1_GOLDEN[model]
+    net = init_vp_network(sizes, seed=0) if kind == "vp" else init_real_network(sizes, seed=0)
+    ckpt = ModelCheckpoint(model=model, hidden_width=width, hidden_layers=layers,
+                           transform=transform, color_n=0.0938, network=net)
+    path = tmp_path / "golden.ckpt"
+    checkpoint_save(path, ckpt)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    checkpoint_save(tmp_path / "again.ckpt", checkpoint_load(path))
+    assert (tmp_path / "again.ckpt").read_bytes() == data
 
 
 def test_checkpoint_detects_corruption(tmp_path):
@@ -319,6 +369,16 @@ def test_checkpoint_detects_corruption(tmp_path):
     vpath.write_bytes(bytes(versioned))
     with pytest.raises(CheckpointError, match="version"):
         checkpoint_load(vpath)
+
+    import zlib
+
+    for cut_bytes in (8, 3):  # one parameter short; not whole float64s
+        short = bytearray(data[:-4 - cut_bytes])
+        short += struct.pack("<I", zlib.crc32(bytes(short)) & 0xFFFFFFFF)
+        spath = tmp_path / "short.ckpt"
+        spath.write_bytes(bytes(short))
+        with pytest.raises(CheckpointError, match="does not fit"):
+            checkpoint_load(spath)
 
 
 def test_checkpoint_expect_model(tmp_path):

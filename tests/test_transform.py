@@ -4,7 +4,6 @@ import pytest
 from vpsep import (
     ColorParams,
     MagnitudeMatrix,
-    VecMatrix,
     color_decode,
     color_encode,
     denormalize,
@@ -42,14 +41,14 @@ def grid_project(point, n=N_DEFAULT, grid=100000):
 def test_window_single_frame_replicates_itself():
     s = mags([[0.2], [0.7]])
     v = window_encode(s)
-    for plane in v.planes():
+    for plane in v:
         assert np.array_equal(plane, s.data)
 
 
 def test_window_constant_input_constant_planes():
     s = mags(np.full((3, 5), 0.25))
     v = window_encode(s)
-    for plane in v.planes():
+    for plane in v:
         assert np.all(plane == 0.25)
 
 
@@ -57,9 +56,10 @@ def test_window_three_frames_layout():
     a, b, c = 0.1, 0.5, 0.9
     s = mags([[a, b, c]])
     v = window_encode(s)
-    assert np.allclose(v.p1, [[a, a, b]], rtol=0, atol=0)
-    assert np.allclose(v.p2, [[a, b, c]], rtol=0, atol=0)
-    assert np.allclose(v.p3, [[b, c, c]], rtol=0, atol=0)
+    assert v.shape == (3, 1, 3)
+    assert np.allclose(v[0], [[a, a, b]], rtol=0, atol=0)
+    assert np.allclose(v[1], [[a, b, c]], rtol=0, atol=0)
+    assert np.allclose(v[2], [[b, c, c]], rtol=0, atol=0)
 
 
 def test_window_roundtrip_exact():
@@ -71,7 +71,7 @@ def test_window_roundtrip_exact():
 
 
 def test_window_decode_clamps():
-    v = VecMatrix(np.zeros((1, 2)), np.array([[-0.25, 1.5]]), np.zeros((1, 2)))
+    v = np.stack([np.zeros((1, 2)), np.array([[-0.25, 1.5]]), np.zeros((1, 2))])
     back = window_decode(v)
     assert np.array_equal(back.data, [[0.0, 1.0]])
 
@@ -97,7 +97,7 @@ def test_color_anchor_points():
     n = N_DEFAULT
     s = mags([[0.0, n, 2 * n, 1.0, n / 2]])
     v = color_encode(s)
-    got = np.stack([p[0] for p in v.planes()], axis=-1)
+    got = np.stack([p[0] for p in v], axis=-1)
     want = np.array(
         [
             [0.0, 0.0, 0.0],
@@ -115,7 +115,7 @@ def test_color_encode_matches_scalar_route():
     x = rng.uniform(0, 1, (13, 7))
     v = color_encode(mags(x))
     want = ramp_points(x)
-    got = np.stack(v.planes(), axis=-1)
+    got = np.stack(list(v), axis=-1)
     assert np.max(np.abs(got - want)) == 0.0
 
 
@@ -130,8 +130,7 @@ def test_color_encode_rejects_out_of_range():
 
 
 def test_color_decode_corners():
-    v = VecMatrix(np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]),
-                  np.array([[0.0, 1.0]]))
+    v = np.array([[[0.0, 1.0]]] * 3)
     back = color_decode(v)
     assert back.data[0, 0] == 0.0
     assert back.data[0, 1] == 1.0
@@ -154,8 +153,7 @@ def test_color_roundtrip_other_bias():
 
 def test_color_decode_off_curve_point_matches_grid_search():
     point = (0.5, -0.1, 0.0)
-    v = VecMatrix(np.array([[point[0]]]), np.array([[point[1]]]),
-                  np.array([[point[2]]]))
+    v = np.array(point).reshape(3, 1, 1)
     got = color_decode(v).data[0, 0]
     want = grid_project(point)
     assert abs(got - want) < 1e-6
@@ -164,7 +162,7 @@ def test_color_decode_off_curve_point_matches_grid_search():
 def test_color_decode_random_points_match_grid_search():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-0.5, 1.5, (40, 3))
-    v = VecMatrix(pts[:, 0:1], pts[:, 1:2], pts[:, 2:3])
+    v = pts.T[:, :, None]
     got = color_decode(v).data[:, 0]
     xs = np.linspace(0.0, 1.0, 100001)
     curve = ramp_points(xs)  # (G, 3)
@@ -180,7 +178,7 @@ def test_color_decode_random_points_match_grid_search():
 def test_color_encode_monotone_in_x():
     x = np.linspace(0, 1, 2001)[None, :]
     v = color_encode(mags(x))
-    total = v.p1 + v.p2 + v.p3
+    total = v[0] + v[1] + v[2]
     assert np.all(np.diff(total[0]) > 0)
     back = color_decode(v)
     assert np.all(np.diff(back.data[0]) > 0)

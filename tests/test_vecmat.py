@@ -1,22 +1,23 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from vpsep import Vec3, VecMatrix, cross, dot, vec_matmul, vec_matmul_naive
+from vpsep import loss_j, vec_matmul, vp_forward
+from vpsep.dataset import make_batches
 from vpsep.errors import ShapeMismatchError
-from vpsep.vecmat import (
-    vm_add,
-    vm_frob_sq,
-    vm_scale,
-    vm_split_rows,
-    vm_sub,
-    vm_take_cols,
-    vm_transpose,
-    vm_vstack,
-)
+from vpsep.network import Network
+from vpsep.pipeline import _split_sources, _stack_sources
+
+from oracles import Vec3, cross, dot, vec_at, vec_matmul_naive
 
 
 def rand_vm(rng, rows, cols, scale=1.0):
-    return VecMatrix(*(scale * rng.standard_normal((rows, cols)) for _ in range(3)))
+    return np.stack([scale * rng.standard_normal((rows, cols)) for _ in range(3)])
+
+
+def from_vec3(v: Vec3) -> np.ndarray:
+    """1x1 vector matrix holding a single vector."""
+    return v.as_array().reshape(3, 1, 1)
 
 
 def test_cross_canonical_basis():
@@ -61,16 +62,18 @@ def test_cross_stays_finite():
 
 
 def test_vecmatrix_validation():
+    # a vector matrix is a (3, rows, cols) array; anything else is rejected
     with pytest.raises(ShapeMismatchError):
-        VecMatrix(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3)))
+        vec_matmul(np.zeros((2, 2, 2)), np.zeros((3, 2, 2)))
     with pytest.raises(ShapeMismatchError):
-        VecMatrix(np.zeros(3), np.zeros(3), np.zeros(3))
+        vec_matmul(np.zeros((3, 2, 2)), np.zeros((2, 2)))
 
 
 def test_vec_matmul_zero():
-    z = VecMatrix.zeros(3, 3)
+    z = np.zeros((3, 3, 3))
     out = vec_matmul(z, z)
-    assert vm_frob_sq(out) == 0.0
+    assert out.shape == (3, 3, 3)
+    assert np.all(out == 0.0)
 
 
 def test_vec_matmul_1x1_reduces_to_cross():
@@ -78,14 +81,14 @@ def test_vec_matmul_1x1_reduces_to_cross():
     for _ in range(10):
         x = Vec3(*rng.standard_normal(3))
         y = Vec3(*rng.standard_normal(3))
-        out = vec_matmul(VecMatrix.from_vec3(x), VecMatrix.from_vec3(y))
-        assert np.allclose(out.vec(0, 0).as_array(), cross(x, y).as_array(),
+        out = vec_matmul(from_vec3(x), from_vec3(y))
+        assert np.allclose(vec_at(out, 0, 0).as_array(), cross(x, y).as_array(),
                            rtol=0, atol=1e-15)
 
 
 def test_vec_matmul_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        vec_matmul(VecMatrix.zeros(2, 3), VecMatrix.zeros(4, 2))
+        vec_matmul(np.zeros((3, 2, 3)), np.zeros((3, 4, 2)))
 
 
 def test_vec_matmul_matches_naive_4x3_3x2():
@@ -94,7 +97,7 @@ def test_vec_matmul_matches_naive_4x3_3x2():
     q = rand_vm(rng, 3, 2)
     fast = vec_matmul(p, q)
     slow = vec_matmul_naive(p, q)
-    for a, b in zip(fast.planes(), slow.planes()):
+    for a, b in zip(fast, slow):
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -106,7 +109,7 @@ def test_vec_matmul_matches_naive_many_shapes():
         q = rand_vm(rng, k, n)
         fast = vec_matmul(p, q)
         slow = vec_matmul_naive(p, q)
-        for a, b in zip(fast.planes(), slow.planes()):
+        for a, b in zip(fast, slow):
             assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -114,85 +117,103 @@ def test_naive_single_entry_reproduces_cross():
     rng = np.random.default_rng(5)
     x = Vec3(*rng.standard_normal(3))
     y = Vec3(*rng.standard_normal(3))
-    p = VecMatrix.zeros(2, 3)
-    q = VecMatrix.zeros(3, 2)
-    for plane_p, plane_q, cx, cy in zip(p.planes(), q.planes(),
-                                        x.as_array(), y.as_array()):
-        plane_p[1, 2] = cx
-        plane_q[2, 0] = cy
+    p = np.zeros((3, 2, 3))
+    q = np.zeros((3, 3, 2))
+    p[:, 1, 2] = x.as_array()
+    q[:, 2, 0] = y.as_array()
     out = vec_matmul_naive(p, q)
-    assert np.allclose(out.vec(1, 0).as_array(), cross(x, y).as_array())
-    assert np.allclose(out.vec(0, 1).as_array(), 0.0)
+    assert np.allclose(vec_at(out, 1, 0).as_array(), cross(x, y).as_array())
+    assert np.allclose(vec_at(out, 0, 1).as_array(), 0.0)
 
 
 def test_naive_zero_q():
     rng = np.random.default_rng(6)
     p = rand_vm(rng, 3, 4)
-    out = vec_matmul_naive(p, VecMatrix.zeros(4, 2))
-    assert vm_frob_sq(out) == 0.0
+    out = vec_matmul_naive(p, np.zeros((3, 4, 2)))
+    assert np.all(out == 0.0)
 
 
 def test_vec_matmul_bilinear_in_first_argument():
     rng = np.random.default_rng(7)
     p = rand_vm(rng, 3, 5)
     q = rand_vm(rng, 5, 2)
-    lhs = vec_matmul(vm_scale(p, 2.5), q)
-    rhs = vm_scale(vec_matmul(p, q), 2.5)
-    for a, b in zip(lhs.planes(), rhs.planes()):
+    lhs = vec_matmul(2.5 * p, q)
+    rhs = 2.5 * vec_matmul(p, q)
+    for a, b in zip(lhs, rhs):
         assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
 
 
 def test_vm_add_zero_identity():
+    # a zero bias adds nothing: one layer gives exactly sigmoid(W (x) a)
     rng = np.random.default_rng(8)
-    a = rand_vm(rng, 2, 3)
-    out = vm_add(a, VecMatrix.zeros(2, 3))
-    for got, want in zip(out.planes(), a.planes()):
-        assert np.array_equal(got, want)
+    net = Network("vp", [3, 2])
+    w, b = net.layers[0]
+    w[...] = rand_vm(rng, 2, 3)
+    a = rand_vm(rng, 3, 4)
+    y, _ = vp_forward(net, a)
+    assert np.array_equal(y, expit(vec_matmul(w, a)))
+    assert np.all(b == 0.0)
 
 
 def test_vm_add_shape_mismatch():
+    # elementwise differences of vector matrices need equal shapes
     with pytest.raises(ShapeMismatchError):
-        vm_add(VecMatrix.zeros(2, 3), VecMatrix.zeros(3, 2))
+        loss_j(np.zeros((3, 2, 3)), np.zeros((3, 3, 2)),
+               np.zeros((3, 2, 3)), np.zeros((3, 2, 3)))
 
 
 def test_vm_frob_sq_zero_and_ones():
-    assert vm_frob_sq(VecMatrix.zeros(5, 7)) == 0.0
-    ones = VecMatrix(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
-    assert vm_frob_sq(ones) == 12.0
+    zero = np.zeros((3, 5, 7))
+    j, _ = loss_j(zero, zero, zero, zero)
+    assert j == 0.0
+    ones = np.ones((3, 2, 2))
+    j, _ = loss_j(ones, np.zeros((3, 2, 2)), zero[:, :1, :1], zero[:, :1, :1])
+    assert j == 12.0
 
 
 def test_vm_sub_and_scale():
+    # the loss gradient is twice the difference, in every plane
     rng = np.random.default_rng(9)
     a = rand_vm(rng, 3, 3)
-    out = vm_sub(a, vm_scale(a, 1.0))
-    assert vm_frob_sq(out) == 0.0
+    b = rand_vm(rng, 3, 3)
+    j, (g1, g2) = loss_j(a, a * 1.0, a, b)
+    assert np.array_equal(g1, np.zeros_like(a))
+    assert np.array_equal(g2, 2.0 * (a - b))
+    assert j == sum(float(np.sum(p * p)) for p in a - b)
 
 
 def test_vm_transpose_involution():
     rng = np.random.default_rng(10)
     a = rand_vm(rng, 3, 5)
-    back = vm_transpose(vm_transpose(a))
-    assert back.shape == a.shape
-    for got, want in zip(back.planes(), a.planes()):
-        assert np.array_equal(got, want)
+    t = a.swapaxes(-1, -2)
+    assert t.shape == (3, 5, 3)
+    assert vec_at(t, 4, 1) == vec_at(a, 1, 4)
+    assert np.array_equal(t.swapaxes(-1, -2), a)
+    # a transposed view multiplies exactly like a transposed copy, also at
+    # shapes where BLAS rounds a transposed operand differently
+    g, x = rand_vm(rng, 64, 20), rand_vm(rng, 513, 20)
+    xt = x.swapaxes(-1, -2)
+    assert np.array_equal(vec_matmul(g, xt), vec_matmul(g, np.ascontiguousarray(xt)))
 
 
 def test_vm_vstack_split_roundtrip():
     rng = np.random.default_rng(11)
     a = rand_vm(rng, 2, 4)
-    b = rand_vm(rng, 3, 4)
-    stacked = vm_vstack(a, b)
-    assert stacked.shape == (5, 4)
-    top, bottom = vm_split_rows(stacked, 2)
-    for got, want in zip(top.planes() + bottom.planes(),
-                         a.planes() + b.planes()):
-        assert np.array_equal(got, want)
+    b = rand_vm(rng, 2, 4)
+    stacked = _stack_sources(a, b)
+    assert stacked.shape == (3, 4, 4)
+    top, bottom = _split_sources(stacked)
+    assert np.array_equal(top, a)
+    assert np.array_equal(bottom, b)
 
 
 def test_vm_take_cols():
+    # minibatches pick whole frame columns, keeping every vector intact
     rng = np.random.default_rng(12)
     a = rand_vm(rng, 2, 6)
-    picked = vm_take_cols(a, np.array([4, 0, 0]))
-    assert picked.shape == (2, 3)
-    assert picked.vec(1, 0) == a.vec(1, 4)
-    assert picked.vec(0, 1) == a.vec(0, 0)
+    t = rand_vm(rng, 4, 6)
+    (picked, target), = make_batches(a, t, 6, np.random.default_rng(0))
+    order = np.random.default_rng(0).permutation(6)
+    assert picked.shape == (3, 2, 6) and target.shape == (3, 4, 6)
+    assert vec_at(picked, 1, 0) == vec_at(a, 1, order[0])
+    assert vec_at(target, 3, 5) == vec_at(t, 3, order[5])
