@@ -194,15 +194,13 @@ def apply_mask_and_reconstruct(
     mix: ComplexSpectrogram, masks: MaskPair
 ) -> tuple[Waveform, Waveform]:
     """Scale the mixture magnitude by each mask, keep the mixture phase,
-    and invert both."""
+    and invert both.  A real mask times a complex bin does exactly that."""
     if masks.m1.shape != mix.bins.shape:
         raise ShapeMismatchError(
             f"mask shape {masks.m1.shape} != spectrogram shape {mix.bins.shape}"
         )
-    mag = np.abs(mix.bins)
-    phase = np.exp(1j * np.angle(mix.bins))
-    s1 = ComplexSpectrogram(masks.m1 * mag * phase, mix.original_len)
-    s2 = ComplexSpectrogram(masks.m2 * mag * phase, mix.original_len)
+    s1 = ComplexSpectrogram(masks.m1 * mix.bins, mix.original_len)
+    s2 = ComplexSpectrogram(masks.m2 * mix.bins, mix.original_len)
     return istft(s1), istft(s2)
 
 

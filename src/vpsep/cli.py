@@ -52,7 +52,6 @@ def _cmd_train(args) -> int:
         model=args.model,
         hidden_width=args.hidden_width,
         hidden_layers=args.hidden_layers,
-        transform=args.transform,
         color_n=args.color_n,
         lr=args.lr,
         batch_frames=args.batch_frames,
@@ -88,7 +87,6 @@ def _cmd_separate(args) -> int:
 def _cmd_evaluate(args) -> int:
     config = make_config(
         args.config,
-        seed=args.seed,
         filter_len=args.filter_len,
         workers=args.workers,
     )
@@ -149,7 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--hidden-width", type=int, default=None)
     p.add_argument("--hidden-layers", type=int, default=None)
-    p.add_argument("--transform", default=None)
     p.add_argument("--color-n", type=float, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch-frames", type=int, default=None)
@@ -172,7 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.add_argument("--filter-len", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ideal", choices=("soft", "binary"), default=None,
                    help="score the oracle mask instead of a checkpoint")
     p.add_argument("--out", default=None, help="also write the summary table here")

@@ -18,7 +18,6 @@ MODEL_SPECS: dict[str, dict] = {
 }
 
 MODELS = tuple(MODEL_SPECS)
-TRANSFORMS = ("none", "window", "color")
 
 
 @dataclass
@@ -26,7 +25,6 @@ class ExperimentConfig:
     model: str = "CVPNN"
     hidden_width: int | None = None
     hidden_layers: int = 3
-    transform: str | None = None
     color_n: float = 0.0938
     lr: float = 1e-3
     beta1: float = 0.9
@@ -37,25 +35,14 @@ class ExperimentConfig:
     seed: int = 0
     filter_len: int = 512
     workers: int = 1
-    data_root: str | None = None
 
     def __post_init__(self):
         if self.model not in MODEL_SPECS:
             raise ConfigError(
                 f"unknown model {self.model!r}; choose from {', '.join(MODELS)}"
             )
-        spec = MODEL_SPECS[self.model]
         if self.hidden_width is None:
-            self.hidden_width = spec["width"]
-        if self.transform is None:
-            self.transform = spec["transform"]
-        if self.transform not in TRANSFORMS:
-            raise ConfigError(f"unknown transform {self.transform!r}")
-        if self.transform != spec["transform"]:
-            raise ConfigError(
-                f"model {self.model} requires transform "
-                f"{spec['transform']!r}, got {self.transform!r}"
-            )
+            self.hidden_width = MODEL_SPECS[self.model]["width"]
         if self.hidden_width < 1 or self.hidden_layers < 1:
             raise ConfigError("hidden_width and hidden_layers must be >= 1")
         if self.epochs < 0:
@@ -74,6 +61,10 @@ class ExperimentConfig:
     @property
     def kind(self) -> str:
         return MODEL_SPECS[self.model]["kind"]
+
+    @property
+    def transform(self) -> str:
+        return MODEL_SPECS[self.model]["transform"]
 
     @property
     def context(self) -> int:

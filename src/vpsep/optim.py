@@ -1,18 +1,24 @@
-"""Adam over lists of parameter arrays.
+"""Adam over lists of parameter arrays, updated in place.
 
-The trainer passes chunks of the network's flat parameter buffer (see
-:mod:`vpsep.network`), so a vector weight is three independent scalars;
-the update never couples entries.  A step returns fresh arrays and a fresh
-state, leaving its inputs untouched.
+The trainer passes ``[net.params]``, the network's flat parameter buffer
+(see :mod:`vpsep.network`), so a vector weight is three independent
+scalars; the update never couples entries.  A step overwrites the
+parameters and the state's moments and advances its step counter; every
+input check runs before the first write, so a rejected step changes
+nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatchError, VpsepError
+
+# Adam is elementwise, so each array is stepped in blocks of this many
+# values; whole-buffer temporaries cost memory and cache misses.
+_ADAM_CHUNK = 1 << 16
 
 
 @dataclass
@@ -55,7 +61,7 @@ def adam_init(
     )
 
 
-def _check_congruent(params, grads, state: AdamState | None = None) -> None:
+def _check_congruent(params, grads, state: AdamState) -> None:
     if len(params) != len(grads):
         raise ShapeMismatchError(
             f"{len(params)} parameter arrays vs {len(grads)} gradient arrays"
@@ -67,43 +73,36 @@ def _check_congruent(params, grads, state: AdamState | None = None) -> None:
             )
         if not np.all(np.isfinite(g)):
             raise VpsepError(f"non-finite gradient entries in array {k}")
-    if state is not None:
-        if len(state.m) != len(params):
-            raise ShapeMismatchError("optimizer state does not match parameters")
-        for k, (p, m) in enumerate(zip(params, state.m)):
-            if p.shape != m.shape:
-                raise ShapeMismatchError(f"state array {k} shape mismatch")
+    if len(state.m) != len(params) or len(state.v) != len(params):
+        raise ShapeMismatchError("optimizer state does not match parameters")
+    for k, (p, m, v) in enumerate(zip(params, state.m, state.v)):
+        if not p.shape == m.shape == v.shape:
+            raise ShapeMismatchError(f"state array {k} shape mismatch")
 
 
 def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update, applied identically to every array.
+) -> None:
+    """One Adam update of ``params``, ``state.m`` and ``state.v`` in place,
+    applied identically to every array; advances ``state.t``.
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;  bias-corrected
     m^, v^;  theta <- theta - lr * m^ / (sqrt(v^) + eps).
     """
     _check_congruent(params, grads, state)
-    t = state.t + 1
-    new_m, new_v, new_p = [], [], []
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1**state.t
+    c2 = 1.0 - b2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        m_hat = m / c1
-        v_hat = v / c2
-        new_m.append(m)
-        new_v.append(v)
-        new_p.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon))
-    next_state = AdamState(
-        m=new_m,
-        v=new_v,
-        t=t,
-        lr=state.lr,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        epsilon=state.epsilon,
-    )
-    return new_p, next_state
-
+        blocks = [...]  # whole array, unless flat views can be cut into blocks
+        if all(a.flags.c_contiguous for a in (p, g, m, v)):
+            p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
+            blocks = [slice(i, i + _ADAM_CHUNK) for i in range(0, p.size, _ADAM_CHUNK)]
+        for blk in blocks:
+            gb, mb, vb = g[blk], m[blk], v[blk]
+            mb *= b1
+            mb += (1.0 - b1) * gb
+            vb *= b2
+            vb += (1.0 - b2) * (gb * gb)
+            p[blk] -= state.lr * (mb / c1) / (np.sqrt(vb / c2) + state.epsilon)

@@ -137,24 +137,6 @@ def _stack_sources(a, b):
     return np.concatenate([a, b], axis=-2)
 
 
-# Adam is elementwise, so the flat parameter buffer is stepped in chunks of
-# this many values; whole-buffer temporaries cost memory and cache misses.
-_ADAM_CHUNK = 1 << 16
-
-
-def _chunks(flat: np.ndarray) -> list[np.ndarray]:
-    return [flat[i:i + _ADAM_CHUNK] for i in range(0, flat.size, _ADAM_CHUNK)]
-
-
-def _adam_update(params: list[np.ndarray], grad: np.ndarray, state):
-    """One Adam step written back into the parameter chunks; returns the
-    new optimizer state."""
-    new_params, state = adam_step(params, _chunks(grad), state)
-    for dst, src in zip(params, new_params):
-        dst[...] = src
-    return state
-
-
 def train(config: ExperimentConfig, manifest: DatasetManifest,
           on_epoch=None) -> tuple[ModelCheckpoint, list[float]]:
     """Minibatch Adam on the summed squared reconstruction error of both
@@ -167,8 +149,7 @@ def train(config: ExperimentConfig, manifest: DatasetManifest,
     x_all, t_all = load_training_frames(manifest, config)
     n_frames = x_all.shape[-1]
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    params = _chunks(net.params)
-    state = adam_init(params, lr=config.lr, beta1=config.beta1,
+    state = adam_init([net.params], lr=config.lr, beta1=config.beta1,
                       beta2=config.beta2, epsilon=config.epsilon)
 
     history: list[float] = []
@@ -186,7 +167,7 @@ def train(config: ExperimentConfig, manifest: DatasetManifest,
                     f"loss became {j} at epoch {epoch}, batch {batch_i}"
                 )
             grad = backward(net, cache, _stack_sources(d_v, d_m))
-            state = _adam_update(params, grad, state)
+            adam_step([net.params], [grad], state)
             total_j += j
         mean_j = total_j / n_frames
         history.append(mean_j)
@@ -453,11 +434,25 @@ def checkpoint_load(path, expect_model: str | None = None) -> ModelCheckpoint:
         raise CheckpointError(
             f"{path}: checkpoint holds {model}, expected {expect_model}"
         )
-    kind = meta.get("kind")
-    sizes = meta.get("sizes")
-    if kind not in ("vp", "real") or not isinstance(sizes, list) or len(sizes) < 2:
-        raise CheckpointError(f"{path}: malformed metadata")
-    sizes = [int(s) for s in sizes]
+    spec = MODEL_SPECS[model]
+    kind, transform = meta.get("kind"), meta.get("transform", spec["transform"])
+    if (kind, transform) != (spec["kind"], spec["transform"]):
+        raise CheckpointError(f"{path}: kind {kind!r} and transform {transform!r} "
+                              f"contradict model {model}")
+    try:
+        sizes = [int(s) for s in meta["sizes"]]
+        width = int(meta.get("hidden_width", sizes[1]))
+        layers = int(meta.get("hidden_layers", len(sizes) - 2))
+        color_n = float(meta.get("color_n", 0.0938))
+        epochs_trained = int(meta.get("epochs_trained", 0))
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed metadata") from e
+    # the layer chain the model's config gives for the stored bin count
+    fits = width >= 1 and layers >= 1 and sizes == ExperimentConfig(
+        model=model, hidden_width=width, hidden_layers=layers
+    ).network_sizes(sizes[-1] // 2)
+    if not fits:
+        raise CheckpointError(f"{path}: layer sizes {sizes} do not fit {model} {width}x{layers}")
 
     try:
         params = np.frombuffer(memoryview(data)[12 + meta_len:-4], dtype="<f8")
@@ -468,12 +463,12 @@ def checkpoint_load(path, expect_model: str | None = None) -> ModelCheckpoint:
 
     return ModelCheckpoint(
         model=model,
-        hidden_width=int(meta.get("hidden_width", sizes[1])),
-        hidden_layers=int(meta.get("hidden_layers", len(sizes) - 2)),
-        transform=str(meta.get("transform", MODEL_SPECS[model]["transform"])),
-        color_n=float(meta.get("color_n", 0.0938)),
+        hidden_width=width,
+        hidden_layers=layers,
+        transform=transform,
+        color_n=color_n,
         network=network,
-        epochs_trained=int(meta.get("epochs_trained", 0)),
+        epochs_trained=epochs_trained,
         final_j=meta.get("final_j"),
     )
 

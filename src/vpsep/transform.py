@@ -145,8 +145,7 @@ def color_decode(
     d3 = (r - 1.0) ** 2 + (g - 1.0) ** 2 + (b - t3) ** 2
     x3 = 2.0 * n + t3 * (1.0 - 2.0 * n)
 
-    dist = np.stack([d1, d2, d3])
-    xs = np.stack([x1, x2, x3])
-    pick = np.argmin(dist, axis=0)
-    x = np.take_along_axis(xs, pick[None], axis=0)[0]
+    # nearest segment, ties to the earlier one (argmin's rule)
+    x = np.where(d2 < d1, x2, x1)
+    x = np.where(d3 < np.minimum(d1, d2), x3, x)
     return MagnitudeMatrix(np.clip(x, 0.0, 1.0), scale)

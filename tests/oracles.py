@@ -3,11 +3,12 @@
 Vector matrices are ``(3, rows, cols)`` arrays, as in :mod:`vpsep.vecmat`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from vpsep.errors import ShapeMismatchError
+from vpsep.optim import AdamState
 
 
 @dataclass(frozen=True)
@@ -55,3 +56,45 @@ def vec_matmul_naive(p: np.ndarray, q: np.ndarray) -> np.ndarray:
                 acc = Vec3(acc.c1 + c.c1, acc.c2 + c.c2, acc.c3 + c.c3)
             out[0, i, k], out[1, i, k], out[2, i, k] = acc.c1, acc.c2, acc.c3
     return out
+
+
+def adam_step_pure(params, grads, state: AdamState):
+    """Adam as a pure function: returns new parameters and a new state,
+    leaving its inputs untouched.  Checks are left to the library."""
+    t = state.t + 1
+    c1 = 1.0 - state.beta1**t
+    c2 = 1.0 - state.beta2**t
+    new_m, new_v, new_p = [], [], []
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m = state.beta1 * m + (1.0 - state.beta1) * g
+        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m_hat = m / c1
+        v_hat = v / c2
+        new_m.append(m)
+        new_v.append(v)
+        new_p.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon))
+    return new_p, replace(state, m=new_m, v=new_v, t=t)
+
+
+def color_decode_argmin(v: np.ndarray, n: float) -> np.ndarray:
+    """Curve parameter of the nearest ramp point, picked by stacking the
+    three per-segment distances and taking their argmin (first minimum
+    wins a tie); returns the clamped x array."""
+    r, g, b = v
+    t1 = np.clip(r, 0.0, 1.0)
+    d1 = (r - t1) ** 2 + g**2 + b**2
+    x1 = t1 * n
+    t2 = np.clip(g, 0.0, 1.0)
+    d2 = (r - 1.0) ** 2 + (g - t2) ** 2 + b**2
+    x2 = n + t2 * n
+    t3 = np.clip(b, 0.0, 1.0)
+    d3 = (r - 1.0) ** 2 + (g - 1.0) ** 2 + (b - t3) ** 2
+    x3 = 2.0 * n + t3 * (1.0 - 2.0 * n)
+    pick = np.argmin(np.stack([d1, d2, d3]), axis=0)
+    x = np.take_along_axis(np.stack([x1, x2, x3]), pick[None], axis=0)[0]
+    return np.clip(x, 0.0, 1.0)
+
+
+def mask_magnitude_phase(bins: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Masked bins built as mask * |z| * exp(i angle z)."""
+    return mask * np.abs(bins) * np.exp(1j * np.angle(bins))

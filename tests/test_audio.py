@@ -251,6 +251,22 @@ def test_apply_mask_conserves_mixture():
     assert np.max(np.abs((y1.samples + y2.samples - x)[good])) < 1e-10
 
 
+def test_apply_mask_matches_magnitude_phase_form():
+    from oracles import mask_magnitude_phase
+
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-0.9, 0.9, TARGET_RATE)
+    s = stft(Waveform(x, TARGET_RATE))
+    s.bins[:4, :3] = 0.0  # exact zeros have no phase; both forms give 0
+    mag = s.magnitude()
+    m = soft_mask(mag * rng.uniform(0, 1, mag.shape), mag)
+    y1, y2 = apply_mask_and_reconstruct(s, m)
+    for got, mask in ((y1, m.m1), (y2, m.m2)):
+        want = istft(ComplexSpectrogram(mask_magnitude_phase(s.bins, mask),
+                                        s.original_len))
+        assert np.max(np.abs(got.samples - want.samples)) < 1e-12
+
+
 def test_apply_mask_shape_check():
     s = stft(tone(440, seconds=0.5))
     with pytest.raises(ShapeMismatchError):

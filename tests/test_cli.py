@@ -49,16 +49,17 @@ def test_train_prints_epoch_loss(tmp_path, capsys):
 
 
 def test_train_validates_config_before_touching_data(tmp_path, capsys):
-    # invalid model/transform pair fails even though --data does not exist,
-    # so the config check runs before any corpus loading
+    # an invalid width fails even though --data does not exist, so the
+    # config check runs before any corpus loading
     code, out, err = run(capsys, "train",
                          "--data", str(tmp_path / "never-created"),
                          "--out", str(tmp_path / "x.ckpt"),
-                         "--model", "CVPNN", "--transform", "window",
+                         "--model", "CVPNN", "--hidden-width", "0",
                          "--epochs", "1")
     assert code == 1
     assert err.startswith("error:")
-    assert "transform" in err
+    assert "hidden_width" in err
+    assert "never-created" not in err
     assert not (tmp_path / "x.ckpt").exists()
 
 

@@ -54,15 +54,22 @@ def test_network_sizes():
     assert ExperimentConfig(model="CVPNN").network_sizes(f) == [f, 512, 512, 512, 2 * f]
 
 
-def test_rejects_unknown_model_and_transform():
+def test_rejects_unknown_model_and_transform(tmp_path):
     with pytest.raises(ConfigError):
         ExperimentConfig(model="VPNN9")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(transform="wavelet")
-    with pytest.raises(ConfigError):
+    # the transform is the model's own and cannot be chosen or changed
+    with pytest.raises(TypeError):
         ExperimentConfig(model="CVPNN", transform="window")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(model="DNN1", transform="color")
+    with pytest.raises(ConfigError, match="transform"):
+        make_config(transform="color")
+    cfg = ExperimentConfig(model="DNN1")
+    with pytest.raises(AttributeError):
+        cfg.transform = "color"
+    assert cfg.transform == MODEL_SPECS["DNN1"]["transform"]
+    path = tmp_path / "run.cfg"
+    path.write_text("model = CVPNN\ntransform = color\n")
+    with pytest.raises(ConfigError, match="unknown key 'transform'"):
+        read_config_file(path)
 
 
 def test_bounds_validation():

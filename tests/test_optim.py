@@ -4,6 +4,8 @@ import pytest
 from vpsep.errors import ShapeMismatchError, VpsepError
 from vpsep.optim import AdamState, adam_init, adam_step
 
+from oracles import adam_step_pure
+
 
 def arrs(*vals):
     return [np.array(v, dtype=np.float64) for v in vals]
@@ -20,18 +22,19 @@ def test_adam_init_zero_state():
 
 def test_adam_zero_gradient_is_fixed_point():
     params = arrs([[1.5, -2.0]])
+    before = params[0].copy()
     state = adam_init(params)
-    new_p, new_state = adam_step(params, arrs([[0.0, 0.0]]), state)
-    assert np.array_equal(new_p[0], params[0])
-    assert new_state.t == 1
+    adam_step(params, arrs([[0.0, 0.0]]), state)
+    assert np.array_equal(params[0], before)
+    assert state.t == 1
 
 
 def test_adam_first_step_magnitude():
     params = arrs([[0.0]])
     state = adam_init(params, lr=0.1)
-    new_p, _ = adam_step(params, arrs([[2.0]]), state)
+    adam_step(params, arrs([[2.0]]), state)
     # bias correction makes the first step lr * g/(|g| + eps)
-    assert new_p[0][0, 0] == pytest.approx(-0.1, abs=1e-8)
+    assert params[0][0, 0] == pytest.approx(-0.1, abs=1e-8)
 
 
 def test_adam_two_steps_match_hand_recurrence():
@@ -49,32 +52,62 @@ def test_adam_two_steps_match_hand_recurrence():
 
     params = arrs([[0.7]])
     state = adam_init(params, lr=lr, beta1=b1, beta2=b2, epsilon=eps)
-    p1, state = adam_step(params, arrs([[g1]]), state)
-    p2, state = adam_step(p1, arrs([[g2]]), state)
-    assert p1[0][0, 0] == pytest.approx(theta_1, abs=1e-12)
-    assert p2[0][0, 0] == pytest.approx(theta_2, abs=1e-12)
+    adam_step(params, arrs([[g1]]), state)
+    assert params[0][0, 0] == pytest.approx(theta_1, abs=1e-12)
+    adam_step(params, arrs([[g2]]), state)
+    assert params[0][0, 0] == pytest.approx(theta_2, abs=1e-12)
     assert state.t == 2
 
 
-def test_adam_updates_are_pure():
+def test_adam_updates_in_place():
     params = arrs([[1.0, 2.0]])
     grads = arrs([[0.5, -0.5]])
     state = adam_init(params)
-    before_p = params[0].copy()
-    before_m = state.m[0].copy()
-    new_p, new_state = adam_step(params, grads, state)
-    assert np.array_equal(params[0], before_p)
-    assert np.array_equal(state.m[0], before_m)
-    assert state.t == 0
-    assert new_state is not state
-    assert new_p[0] is not params[0]
+    p, m, v = params[0], state.m[0], state.v[0]
+    before_p, before_g = p.copy(), grads[0].copy()
+    assert adam_step(params, grads, state) is None
+    assert state.t == 1
+    # the same arrays now hold the stepped values
+    assert params[0] is p and state.m[0] is m and state.v[0] is v
+    assert np.all(p != before_p)
+    assert np.all(m != 0.0) and np.all(v != 0.0)
+    assert np.array_equal(grads[0], before_g)
+
+
+def test_adam_matches_pure_reference_across_blocks():
+    # 150,000 values cross two block edges of the in-place step
+    rng = np.random.default_rng(3)
+    params = [rng.standard_normal(150_000), rng.standard_normal((7, 5))]
+    ref_p = [p.copy() for p in params]
+    state = adam_init(params, lr=0.01)
+    ref_state = adam_init(ref_p, lr=0.01)
+    for _ in range(5):
+        grads = [rng.standard_normal(p.shape) for p in params]
+        adam_step(params, grads, state)
+        ref_p, ref_state = adam_step_pure(ref_p, grads, ref_state)
+    assert state.t == ref_state.t == 5
+    for got, want in zip(params + state.m + state.v,
+                         ref_p + ref_state.m + ref_state.v):
+        assert np.array_equal(got, want)
+
+
+def test_adam_non_contiguous_arrays_step_whole():
+    base = np.arange(12.0).reshape(3, 4)
+    params, ref_p = [base.T], [base.T.copy()]
+    grads = [np.linspace(-1.0, 1.0, 12).reshape(4, 3)]
+    state, ref_state = adam_init(params), adam_init(ref_p)
+    adam_step(params, grads, state)
+    ref_p, _ = adam_step_pure(ref_p, grads, ref_state)
+    assert np.array_equal(base.T, ref_p[0])
 
 
 def test_adam_deterministic():
     params = arrs([[0.3, -0.8], [2.0, 0.0]])
     grads = arrs([[1.0, -1.0], [0.25, 4.0]])
-    a = adam_step(params, grads, adam_init(params))[0]
-    b = adam_step(params, grads, adam_init(params))[0]
+    a = [p.copy() for p in params]
+    b = [p.copy() for p in params]
+    adam_step(a, grads, adam_init(a))
+    adam_step(b, grads, adam_init(b))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
@@ -84,12 +117,16 @@ def test_adam_arrays_update_independently():
     y = np.array([[2.0]])
     gx = np.array([[1.0, -1.0]])
     gy = np.array([[0.25]])
-    joint, _ = adam_step([x, y], [gx, gy], adam_init([x, y]))
-    solo_x, _ = adam_step([x], [gx], adam_init([x]))
-    solo_y, _ = adam_step([y], [gy], adam_init([y]))
-    assert np.array_equal(joint[0], solo_x[0])
-    assert np.array_equal(joint[1], solo_y[0])
-    swapped, _ = adam_step([y, x], [gy, gx], adam_init([y, x]))
+
+    def stepped(*arrays_and_grads):
+        arrays = [a.copy() for a, _ in arrays_and_grads]
+        adam_step(arrays, [g for _, g in arrays_and_grads], adam_init(arrays))
+        return arrays
+
+    joint = stepped((x, gx), (y, gy))
+    assert np.array_equal(joint[0], stepped((x, gx))[0])
+    assert np.array_equal(joint[1], stepped((y, gy))[0])
+    swapped = stepped((y, gy), (x, gx))
     assert np.array_equal(swapped[0], joint[1])
     assert np.array_equal(swapped[1], joint[0])
 
@@ -98,12 +135,11 @@ def test_adam_step_counter_and_bias_correction_progress():
     params = arrs([[0.0]])
     grads = arrs([[1.0]])
     state = adam_init(params, lr=0.1)
-    p = params
     for want_t in (1, 2, 3):
-        p, state = adam_step(p, grads, state)
+        adam_step(params, grads, state)
         assert state.t == want_t
     # constant gradient keeps full-size steps after bias correction
-    assert p[0][0, 0] == pytest.approx(-0.3, abs=1e-6)
+    assert params[0][0, 0] == pytest.approx(-0.3, abs=1e-6)
 
 
 def test_adam_rejects_mismatched_inputs():
@@ -125,6 +161,21 @@ def test_adam_rejects_non_finite_gradients():
         adam_step(params, arrs([[np.nan, 0.0]]), state)
     with pytest.raises(VpsepError):
         adam_step(params, arrs([[np.inf, 0.0]]), state)
+
+
+def test_adam_rejected_step_changes_nothing():
+    params = arrs([[1.0, 2.0]], [[3.0], [4.0]])
+    state = adam_init(params)
+    adam_step(params, arrs([[0.5, -0.5]], [[1.0], [2.0]]), state)
+    before = [a.copy() for a in params + state.m + state.v]
+    # the bad entry sits in the second array, after a valid first one
+    with pytest.raises(VpsepError):
+        adam_step(params, arrs([[0.5, -0.5]], [[1.0], [np.nan]]), state)
+    with pytest.raises(ShapeMismatchError):
+        adam_step(params, arrs([[0.5, -0.5]], [[1.0, 2.0]]), state)
+    assert state.t == 1
+    for got, want in zip(params + state.m + state.v, before):
+        assert np.array_equal(got, want)
 
 
 def test_adam_state_validates_hyperparameters():

@@ -381,6 +381,45 @@ def test_checkpoint_detects_corruption(tmp_path):
             checkpoint_load(spath)
 
 
+def _with_meta(data: bytes, **changes) -> bytes:
+    """The checkpoint bytes with metadata keys changed and a valid CRC."""
+    import json
+    import struct
+    import zlib
+
+    meta_len = struct.unpack_from("<I", data, 8)[0]
+    meta = json.loads(data[12:12 + meta_len])
+    meta.update(changes)
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    body = (data[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes
+            + data[12 + meta_len:-4])
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"transform": "window"}, "transform"),
+    ({"kind": "real"}, "kind"),
+    ({"hidden_width": 999}, "sizes"),
+    ({"hidden_layers": 2}, "sizes"),
+    ({"hidden_width": 0}, "sizes"),
+    ({"model": "WVPNN"}, "transform"),
+    ({"model": "DNN3", "kind": "real", "transform": "window"}, "sizes"),
+    ({"hidden_width": "abc"}, "malformed"),
+    ({"sizes": None}, "malformed"),
+    ({"sizes": [513]}, "malformed"),
+])
+def test_checkpoint_rejects_metadata_contradicting_model(changes, match, tmp_path):
+    ckpt = fresh_ckpt(model="CVPNN", width=8, layers=1)
+    path = tmp_path / "m.ckpt"
+    checkpoint_save(path, ckpt)
+    edited = tmp_path / "edited.ckpt"
+    edited.write_bytes(_with_meta(path.read_bytes()))
+    assert checkpoint_load(edited).arch == "8x1"  # the rewrite alone is harmless
+    edited.write_bytes(_with_meta(path.read_bytes(), **changes))
+    with pytest.raises(CheckpointError, match=match):
+        checkpoint_load(edited)
+
+
 def test_checkpoint_expect_model(tmp_path):
     ckpt = fresh_ckpt(model="WVPNN", width=8, layers=1)
     path = tmp_path / "w.ckpt"

@@ -175,6 +175,21 @@ def test_color_decode_random_points_match_grid_search():
     assert np.all(got_d <= grid_d + 1e-8)
 
 
+def test_color_decode_matches_argmin_reference_bit_for_bit():
+    from oracles import color_decode_argmin
+
+    rng = np.random.default_rng(4)
+    off_curve = rng.uniform(-0.5, 1.5, (3, 40, 50))
+    # quarter steps give exact distance ties between segments, e.g.
+    # (.5, .5, 0): d1 = d2; (1, .5, .5): d2 = d3; (.5, .5, .5): all three
+    grid = np.linspace(-0.25, 1.25, 7)
+    ties = np.stack(np.meshgrid(grid, grid, grid, indexing="ij")).reshape(3, 7, 49)
+    for p in (ColorParams(), ColorParams(0.25)):
+        for v in (off_curve, ties):
+            got = color_decode(v, p).data
+            assert np.array_equal(got, color_decode_argmin(v, p.n))
+
+
 def test_color_encode_monotone_in_x():
     x = np.linspace(0, 1, 2001)[None, :]
     v = color_encode(mags(x))
