@@ -9,11 +9,17 @@ frame grid and only tracked through ``original_len``.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
+import uuid
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import signal
+from scipy.io import wavfile
 
 from .errors import AudioError, ShapeMismatchError, WavFormatError
 
@@ -21,6 +27,7 @@ TARGET_RATE = 16000
 WINDOW_LEN = 1024
 HOP = 256
 N_BINS = WINDOW_LEN // 2 + 1
+_OVERLAP = WINDOW_LEN // HOP  # frames covering each sample
 
 # periodic Hann: only the very first tap is exactly zero, which keeps
 # weighted overlap-add well conditioned everywhere else
@@ -153,15 +160,19 @@ def istft(s: ComplexSpectrogram) -> Waveform:
     """
     t = s.n_frames
     frames = np.fft.irfft(s.bins.T, n=WINDOW_LEN, axis=1)
-    covered = (t - 1) * HOP + WINDOW_LEN
-    num = np.zeros(covered)
-    den = np.zeros(covered)
+    frames *= _WINDOW
     wsq = _WINDOW * _WINDOW
-    for k in range(t):
-        sl = slice(k * HOP, k * HOP + WINDOW_LEN)
-        num[sl] += frames[k] * _WINDOW
-        den[sl] += wsq
-    y = num
+    # hop-sized blocks: block j of frame k lands on output block k + j, so
+    # adding block j of every frame at once, j from last to first, sums each
+    # sample's frames in ascending order, as a per-frame loop does
+    num = np.zeros((t + _OVERLAP - 1, HOP))
+    den = np.zeros_like(num)
+    for j in reversed(range(_OVERLAP)):
+        block = slice(j * HOP, (j + 1) * HOP)
+        num[j:j + t] += frames[:, block]
+        den[j:j + t] += wsq[block]
+    y, den = num.ravel(), den.ravel()
+    covered = len(y)
     live = den > OLA_REL_FLOOR * np.max(den)
     y[live] /= den[live]
     if s.original_len < covered:
@@ -206,56 +217,9 @@ def apply_mask_and_reconstruct(
 
 # --- WAV I/O ---------------------------------------------------------------
 
-_FMT_PCM = 0x0001
-_FMT_FLOAT = 0x0003
-_FMT_EXTENSIBLE = 0xFFFE
-
-
-def _parse_chunks(data: bytes):
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavFormatError("not a RIFF/WAVE file")
-    pos = 12
-    while pos + 8 <= len(data):
-        cid = data[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
-        if len(body) < size:
-            raise WavFormatError(f"truncated {cid!r} chunk")
-        yield cid, body
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
-
-
-def _read_wav_channels(path) -> tuple[list[np.ndarray], int]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    fmt = None
-    raw = None
-    for cid, body in _parse_chunks(data):
-        if cid == b"fmt ":
-            if len(body) < 16:
-                raise WavFormatError("fmt chunk too short")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
-            if fmt[0] == _FMT_EXTENSIBLE and len(body) >= 40:
-                (sub,) = struct.unpack_from("<H", body, 24)
-                fmt = (sub,) + fmt[1:]
-        elif cid == b"data":
-            raw = body
-    if fmt is None or raw is None:
-        raise WavFormatError("missing fmt or data chunk")
-    codec, channels, rate, _, block_align, bits = fmt
-    if channels < 1:
-        raise WavFormatError("no channels")
-    if codec == _FMT_PCM and bits == 16:
-        flat = np.frombuffer(raw[: len(raw) - len(raw) % 2], dtype="<i2")
-        flat = flat.astype(np.float64) / 32768.0
-    elif codec == _FMT_FLOAT and bits == 32:
-        flat = np.frombuffer(raw[: len(raw) - len(raw) % 4], dtype="<f4")
-        flat = flat.astype(np.float64)
-    else:
-        raise WavFormatError(f"unsupported codec: format={codec:#06x}, bits={bits}")
-    usable = len(flat) - len(flat) % channels
-    frames = flat[:usable].reshape(-1, channels)
-    return [frames[:, c].copy() for c in range(channels)], rate
+# catch_warnings swaps process-wide state, so overlapping reads from
+# evaluation threads would lose or leak each other's warning filters
+_WARNINGS_LOCK = threading.Lock()
 
 
 def wav_read(path, channel: int | None = None) -> Waveform:
@@ -264,25 +228,47 @@ def wav_read(path, channel: int | None = None) -> Waveform:
     Mono files need no ``channel``; multichannel files require one
     (iKala-style stems keep separate signals per channel).
     """
-    chans, rate = _read_wav_channels(path)
-    if len(chans) == 1:
-        if channel not in (None, 0):
-            raise WavFormatError(f"mono file has no channel {channel}")
-        picked = chans[0]
-    else:
-        if channel is None:
-            raise WavFormatError(
-                f"file has {len(chans)} channels; pick one explicitly"
-            )
-        if not 0 <= channel < len(chans):
-            raise WavFormatError(f"no channel {channel} in {len(chans)}-channel file")
-        picked = chans[channel]
-    return Waveform(picked, rate)
+    with _WARNINGS_LOCK, warnings.catch_warnings():
+        # scipy skips unknown chunks with a warning, and reports a cut data
+        # chunk only as a warning, which is raised here instead
+        warnings.simplefilter("ignore", wavfile.WavFileWarning)
+        warnings.filterwarnings("error", "Reached EOF prematurely",
+                                wavfile.WavFileWarning)
+        # on a zero channel count scipy divides by zero, and a file with no
+        # fmt or data chunk within its RIFF size leaves its result unbound
+        try:
+            rate, data = wavfile.read(path)
+        except (ValueError, struct.error, ZeroDivisionError, UnboundLocalError,
+                wavfile.WavFileWarning) as e:
+            raise WavFormatError(f"{path}: malformed WAV file: {e}") from e
+    if data.dtype.str not in ("<i2", "<f4"):
+        raise WavFormatError(f"{path}: unsupported sample type {data.dtype}; "
+                             "expected PCM16 or float32")
+    frames = data if data.ndim == 2 else data[:, None]  # (samples, channels)
+    n_chans = frames.shape[1]
+    if channel is None and n_chans > 1:
+        raise WavFormatError(f"file has {n_chans} channels; pick one explicitly")
+    if not 0 <= (channel or 0) < n_chans:
+        raise WavFormatError(f"no channel {channel} in {n_chans}-channel file")
+    samples = frames[:, channel or 0].astype(np.float64)
+    if data.dtype == np.int16:
+        samples /= 32768.0
+    return Waveform(samples, rate)
 
 
-def wav_read_channels(path) -> list[Waveform]:
-    chans, rate = _read_wav_channels(path)
-    return [Waveform(c, rate) for c in chans]
+def _atomic_write(path, write) -> None:
+    """Call ``write(fh)`` on a new file beside ``path`` and rename it over
+    ``path`` once complete: a failed write leaves ``path`` as it was and
+    removes the partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:  # the umask's mode, not mkstemp's 0o600
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def wav_write(path, w: Waveform | list[Waveform], fmt: str = "pcm16") -> None:
@@ -300,37 +286,9 @@ def wav_write(path, w: Waveform | list[Waveform], fmt: str = "pcm16") -> None:
         raise WavFormatError("channels must share rate and length")
     frames = np.stack([x.samples for x in waves], axis=1)
     if fmt == "pcm16":
-        ints = np.clip(np.round(frames * 32768.0), -32768, 32767).astype("<i2")
-        payload = ints.tobytes()
-        codec, bits = _FMT_PCM, 16
+        frames = np.clip(np.round(frames * 32768.0), -32768, 32767).astype("<i2")
     elif fmt == "float32":
-        payload = frames.astype("<f4").tobytes()
-        codec, bits = _FMT_FLOAT, 32
+        frames = frames.astype("<f4")
     else:
         raise WavFormatError(f"unknown output format {fmt!r}")
-    channels = frames.shape[1]
-    block_align = channels * bits // 8
-    header = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
-            b"WAVE",
-            b"fmt ",
-            struct.pack(
-                "<IHHIIHH",
-                16,
-                codec,
-                channels,
-                rate,
-                rate * block_align,
-                block_align,
-                bits,
-            ),
-            b"data",
-            struct.pack("<I", len(payload)),
-        ]
-    )
-    with open(path, "wb") as fh:
-        fh.write(header + payload)
-        if len(payload) & 1:
-            fh.write(b"\x00")
+    _atomic_write(path, lambda fh: wavfile.write(fh, rate, frames))

@@ -23,6 +23,7 @@ from .audio import (
     resample_to_16k,
     soft_mask,
     stft,
+    _atomic_write,
 )
 from .config import MODEL_SPECS, ExperimentConfig
 from .dataset import (
@@ -79,6 +80,12 @@ class ModelCheckpoint:
     epochs_trained: int = 0
     final_j: float | None = None
 
+    def __post_init__(self):
+        problem = _contradiction(self.model, self.kind, self.transform,
+                                 self.hidden_width, self.hidden_layers, self.sizes)
+        if problem:
+            raise CheckpointError(problem)
+
     @property
     def kind(self) -> str:
         return self.network.kind
@@ -94,6 +101,22 @@ class ModelCheckpoint:
     @property
     def sizes(self) -> list[int]:
         return list(self.network.sizes)
+
+
+def _contradiction(model, kind, transform, width, layers, sizes) -> str | None:
+    """What in a model description contradicts ``MODEL_SPECS`` and the
+    layer chain of its config, or None when everything fits."""
+    spec = MODEL_SPECS.get(model)
+    if spec is None:
+        return f"unknown model {model!r}"
+    if (kind, transform) != (spec["kind"], spec["transform"]):
+        return f"kind {kind!r} and transform {transform!r} contradict model {model}"
+    # the chain is taken for the stored bin count, so small test networks fit
+    if not (width >= 1 and layers >= 1 and sizes == ExperimentConfig(
+        model=model, hidden_width=width, hidden_layers=layers
+    ).network_sizes(sizes[-1] // 2)):
+        return f"layer sizes {sizes} do not fit {model} {width}x{layers}"
+    return None
 
 
 # --- training ---------------------------------------------------------------
@@ -405,8 +428,8 @@ def checkpoint_save(path, ckpt: ModelCheckpoint) -> None:
     blob += struct.pack("<II", _VERSION, len(meta_bytes))
     blob += meta_bytes
     blob += np.ascontiguousarray(ckpt.network.params, dtype="<f8").data
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(blob))
+    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+    _atomic_write(path, lambda fh: fh.write(blob))
 
 
 def checkpoint_load(path, expect_model: str | None = None) -> ModelCheckpoint:
@@ -427,18 +450,8 @@ def checkpoint_load(path, expect_model: str | None = None) -> ModelCheckpoint:
         meta = json.loads(data[12:12 + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable metadata") from e
-    model = meta.get("model")
-    if model not in MODEL_SPECS:
-        raise CheckpointError(f"{path}: unknown model {model!r}")
-    if expect_model is not None and model != expect_model:
-        raise CheckpointError(
-            f"{path}: checkpoint holds {model}, expected {expect_model}"
-        )
-    spec = MODEL_SPECS[model]
-    kind, transform = meta.get("kind"), meta.get("transform", spec["transform"])
-    if (kind, transform) != (spec["kind"], spec["transform"]):
-        raise CheckpointError(f"{path}: kind {kind!r} and transform {transform!r} "
-                              f"contradict model {model}")
+    model, kind = meta.get("model"), meta.get("kind")
+    transform = meta.get("transform", MODEL_SPECS.get(model, {}).get("transform"))
     try:
         sizes = [int(s) for s in meta["sizes"]]
         width = int(meta.get("hidden_width", sizes[1]))
@@ -447,12 +460,14 @@ def checkpoint_load(path, expect_model: str | None = None) -> ModelCheckpoint:
         epochs_trained = int(meta.get("epochs_trained", 0))
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed metadata") from e
-    # the layer chain the model's config gives for the stored bin count
-    fits = width >= 1 and layers >= 1 and sizes == ExperimentConfig(
-        model=model, hidden_width=width, hidden_layers=layers
-    ).network_sizes(sizes[-1] // 2)
-    if not fits:
-        raise CheckpointError(f"{path}: layer sizes {sizes} do not fit {model} {width}x{layers}")
+    # checked before the payload is sized, so a contradiction is named
+    problem = _contradiction(model, kind, transform, width, layers, sizes)
+    if problem:
+        raise CheckpointError(f"{path}: {problem}")
+    if expect_model is not None and model != expect_model:
+        raise CheckpointError(
+            f"{path}: checkpoint holds {model}, expected {expect_model}"
+        )
 
     try:
         params = np.frombuffer(memoryview(data)[12 + meta_len:-4], dtype="<f8")

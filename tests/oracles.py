@@ -7,6 +7,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from vpsep.audio import (
+    _WINDOW,
+    HOP,
+    OLA_REL_FLOOR,
+    TARGET_RATE,
+    WINDOW_LEN,
+    ComplexSpectrogram,
+    Waveform,
+)
 from vpsep.errors import ShapeMismatchError
 from vpsep.optim import AdamState
 
@@ -98,3 +107,22 @@ def color_decode_argmin(v: np.ndarray, n: float) -> np.ndarray:
 def mask_magnitude_phase(bins: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Masked bins built as mask * |z| * exp(i angle z)."""
     return mask * np.abs(bins) * np.exp(1j * np.angle(bins))
+
+
+def istft_frame_loop(s: ComplexSpectrogram) -> Waveform:
+    """Weighted overlap-add synthesis with one Python step per frame."""
+    t = s.n_frames
+    frames = np.fft.irfft(s.bins.T, n=WINDOW_LEN, axis=1)
+    covered = (t - 1) * HOP + WINDOW_LEN
+    num = np.zeros(covered)
+    den = np.zeros(covered)
+    wsq = _WINDOW * _WINDOW
+    for k in range(t):
+        sl = slice(k * HOP, k * HOP + WINDOW_LEN)
+        num[sl] += frames[k] * _WINDOW
+        den[sl] += wsq
+    live = den > OLA_REL_FLOOR * np.max(den)
+    num[live] /= den[live]
+    out = np.zeros(s.original_len)
+    out[:covered] = num
+    return Waveform(out, TARGET_RATE)

@@ -1,3 +1,7 @@
+import os
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from scipy import signal
@@ -19,7 +23,7 @@ from vpsep import (
     wav_read,
     wav_write,
 )
-from vpsep.audio import n_frames_for, wav_read_channels
+from vpsep.audio import n_frames_for
 from vpsep.errors import AudioError, ShapeMismatchError, WavFormatError
 
 
@@ -172,6 +176,17 @@ def test_istft_inconsistent_length_rejected():
     bad = ComplexSpectrogram(s.bins, original_len=WINDOW_LEN)
     with pytest.raises(AudioError):
         istft(bad)
+
+
+@pytest.mark.parametrize("n_samples", [5000, 1_922_048])  # ragged; 120 s
+def test_istft_matches_frame_loop_bit_for_bit(n_samples):
+    from oracles import istft_frame_loop
+
+    rng = np.random.default_rng(n_samples)
+    s = stft(Waveform(rng.uniform(-1, 1, n_samples), TARGET_RATE))
+    s.bins[:] *= rng.uniform(0, 1, s.bins.shape)  # a masked spectrum
+    got = istft(s).samples
+    assert got.tobytes() == istft_frame_loop(s).samples.tobytes()
 
 
 def test_spectrogram_validation():
@@ -328,8 +343,6 @@ def test_wav_stereo_channels(tmp_path):
     assert np.array_equal(got_r.samples, right.samples)
     with pytest.raises(WavFormatError):
         wav_read(path, channel=2)
-    both = wav_read_channels(path)
-    assert len(both) == 2
 
 
 def test_wav_mono_channel_selection(tmp_path):
@@ -357,8 +370,6 @@ def test_wav_rejects_non_wav_and_truncated(tmp_path):
 
 
 def test_wav_rejects_unknown_codec(tmp_path):
-    import struct
-
     payload = b"\x00" * 64
     header = b"".join(
         [
@@ -386,3 +397,150 @@ def test_wav_write_validates(tmp_path):
         wav_write(tmp_path / "y.wav", [a, b])
     with pytest.raises(WavFormatError):
         wav_write(tmp_path / "z.wav", a, fmt="pcm24")
+
+
+@pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+def test_wav_every_truncation_raises(fmt, tmp_path):
+    path = tmp_path / "full.wav"
+    wav_write(path, Waveform(np.linspace(-0.9, 0.9, 101), 16000), fmt=fmt)
+    data = path.read_bytes()
+    cut = tmp_path / "cut.wav"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(WavFormatError):
+            wav_read(cut)
+
+
+def _wav_bytes(codec, bits, payload, extra_chunks=b""):
+    """A mono 16 kHz RIFF/WAVE file with a 16-byte fmt chunk."""
+    block_align = bits // 8
+    fmt = struct.pack("<HHIIHH", codec, 1, 16000, 16000 * block_align,
+                      block_align, bits)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + extra_chunks
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("codec, bits", [(1, 8), (1, 24), (1, 32), (3, 64)])
+def test_wav_rejects_other_sample_types(codec, bits, tmp_path):
+    path = tmp_path / f"{bits}.wav"
+    path.write_bytes(_wav_bytes(codec, bits, b"\x00" * (bits // 8) * 16))
+    with pytest.raises(WavFormatError):
+        wav_read(path)
+
+
+def test_wav_skips_unknown_and_trailing_partial_chunks(tmp_path):
+    ints = np.arange(-8, 8, dtype="<i2") * 1000
+    bext = b"bext" + struct.pack("<I", 5) + b"abcde" + b"\x00"  # odd size, padded
+    data = _wav_bytes(1, 16, ints.tobytes(), extra_chunks=bext) + b"LI"
+    data = data[:4] + struct.pack("<I", len(data) - 8) + data[8:]
+    path = tmp_path / "extra.wav"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = wav_read(path)
+    assert np.array_equal(back.samples, ints / 32768.0)
+
+
+def test_wav_read_threads_keep_warning_filters(tmp_path):
+    import sys
+    import threading
+
+    ints = np.arange(-8, 8, dtype="<i2") * 1000
+    good = tmp_path / "extra.wav"
+    good.write_bytes(_wav_bytes(1, 16, ints.tobytes(),
+                                extra_chunks=b"bext" + struct.pack("<I", 2) + b"ab"))
+    cut = tmp_path / "cut.wav"
+    cut.write_bytes(good.read_bytes()[:-6])
+    filters = list(warnings.filters)
+    failures = []
+
+    def reader():
+        try:
+            for _ in range(100):
+                assert np.array_equal(wav_read(good).samples, ints / 32768.0)
+                with pytest.raises(WavFormatError):
+                    wav_read(cut)
+        except BaseException as e:  # reported by the main thread
+            failures.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert warnings.filters == filters
+
+
+# files written by the original hand-packed RIFF writer: 8 mono PCM16 samples
+# at 22050 Hz, then 4 stereo frames at 16 kHz as PCM16 and as float32, the
+# float32 one without the cbSize field and fact chunk
+_SAMPLES = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 0.25, 1e-3, -0.999])
+_PCM16_MONO = bytes.fromhex(
+    "524946463400000057415645666d742010000000010001002256000044ac0000"
+    "0200100064617461100000000000004000c0ff7f0080002021002180")
+_PCM16_STEREO = bytes.fromhex(
+    "524946463400000057415645666d74201000000001000200803e000000fa0000"
+    "0400100064617461100000000000ff7f004000e000c0dfffff7fdf7f")
+_FLOAT32_STEREO_NO_FACT = bytes.fromhex(
+    "524946464400000057415645666d74201000000003000200803e000000f40100"
+    "080020006461746120000000000000000000803f0000003f000080be000000bf"
+    "6f1283ba0000803f77be7f3f")
+
+
+def test_wav_pcm16_golden_bytes(tmp_path):
+    left, right = Waveform(_SAMPLES[:4], 16000), Waveform(-_SAMPLES[4:], 16000)
+    wav_write(tmp_path / "m.wav", Waveform(_SAMPLES, 22050))
+    wav_write(tmp_path / "s.wav", [left, right])
+    assert (tmp_path / "m.wav").read_bytes() == _PCM16_MONO
+    assert (tmp_path / "s.wav").read_bytes() == _PCM16_STEREO
+
+
+def test_wav_reads_float32_without_fact_chunk(tmp_path):
+    path = tmp_path / "old.wav"
+    path.write_bytes(_FLOAT32_STEREO_NO_FACT)
+    want = _SAMPLES.astype(np.float32).astype(np.float64)
+    assert np.array_equal(wav_read(path, channel=0).samples, want[:4])
+    assert np.array_equal(wav_read(path, channel=1).samples, -want[4:])
+
+
+def test_wav_write_failure_keeps_target(tmp_path, monkeypatch):
+    import vpsep.audio
+
+    def fail_halfway(fh, rate, data):
+        fh.write(b"RIFF\x00\x00")
+        raise OSError("disk full")
+
+    path = tmp_path / "out.wav"
+    monkeypatch.setattr(vpsep.audio.wavfile, "write", fail_halfway)
+    with pytest.raises(OSError, match="disk full"):
+        wav_write(path, Waveform(np.zeros(64), 16000))
+    assert os.listdir(tmp_path) == []  # no target, no temp file
+
+    monkeypatch.undo()
+    wav_write(path, Waveform(np.zeros(64), 16000))
+    old = path.read_bytes()
+    monkeypatch.setattr(vpsep.audio.wavfile, "write", fail_halfway)
+    with pytest.raises(OSError, match="disk full"):
+        wav_write(path, Waveform(np.ones(64) / 2, 16000))
+    assert os.listdir(tmp_path) == ["out.wav"]
+    assert path.read_bytes() == old
+
+
+def test_wav_write_mode_follows_umask(tmp_path):
+    old_umask = os.umask(0o027)  # a temp-file helper's 0600 would differ
+    try:
+        wav_write(tmp_path / "a.wav", Waveform(np.zeros(8), 16000))
+        with open(tmp_path / "plain", "wb"):
+            pass
+    finally:
+        os.umask(old_umask)
+    assert (os.stat(tmp_path / "a.wav").st_mode
+            == os.stat(tmp_path / "plain").st_mode)

@@ -420,6 +420,40 @@ def test_checkpoint_rejects_metadata_contradicting_model(changes, match, tmp_pat
         checkpoint_load(edited)
 
 
+@pytest.mark.parametrize("model, kind, transform, hidden, match", [
+    ("CVPNN", "vp", "window", 8, "transform"),
+    ("CVPNN", "real", "color", 8, "kind"),
+    ("CVPNN", "vp", "color", 9, "sizes"),
+    ("DNN3", "real", "window", 8, "sizes"),
+    ("DNN4", "real", "none", 8, "unknown model"),
+])
+def test_model_checkpoint_rejects_contradicting_fields(model, kind, transform,
+                                                       hidden, match):
+    net = init_network(kind, [N_BINS, hidden, 2 * N_BINS], seed=0)
+    with pytest.raises(CheckpointError, match=match):
+        ModelCheckpoint(model=model, hidden_width=8, hidden_layers=1,
+                        transform=transform, color_n=0.0938, network=net)
+
+
+def test_checkpoint_save_failure_keeps_target(tmp_path, monkeypatch):
+    import os
+
+    path = tmp_path / "model.ckpt"
+    checkpoint_save(path, fresh_ckpt(width=8, layers=1))
+    old = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        checkpoint_save(path, fresh_ckpt(width=8, layers=1, seed=1))
+    with pytest.raises(OSError, match="rename refused"):
+        checkpoint_save(tmp_path / "new.ckpt", fresh_ckpt(width=8, layers=1))
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+    assert path.read_bytes() == old
+
+
 def test_checkpoint_expect_model(tmp_path):
     ckpt = fresh_ckpt(model="WVPNN", width=8, layers=1)
     path = tmp_path / "w.ckpt"
