@@ -48,7 +48,6 @@ from .metrics import (
     GlobalMetrics,
     aggregate_global,
     bss_decompose,
-    nsdr,
     sdr_only,
     sdr_sir_sar,
 )
@@ -82,7 +81,6 @@ from .transform import (
     MagnitudeMatrix,
     color_decode,
     color_encode,
-    denormalize,
     normalize,
     window_decode,
     window_encode,
@@ -102,10 +100,10 @@ __all__ = [
     "VpsepError", "Waveform", "WavFormatError", "WINDOW_LEN", "adam_init",
     "adam_step", "aggregate_global", "apply_mask_and_reconstruct",
     "bss_decompose", "checkpoint_load", "checkpoint_save", "color_decode",
-    "color_encode", "covered_length", "denormalize", "evaluate",
-    "evaluate_ideal", "init_network", "init_real_network",
-    "init_vp_network", "istft", "load_manifest", "loss_j", "make_config",
-    "n_frames_for", "normalize", "nsdr", "param_count", "read_config_file",
+    "color_encode", "covered_length", "evaluate", "evaluate_ideal",
+    "init_network", "init_real_network", "init_vp_network", "istft",
+    "load_manifest", "loss_j", "make_config", "n_frames_for", "normalize",
+    "param_count", "read_config_file",
     "real_backward", "real_forward", "resample_to_16k", "sdr_only",
     "sdr_sir_sar", "separate", "separate_ideal", "soft_mask", "stft",
     "synth_dataset", "train", "vec_matmul", "vp_backward", "vp_forward",

@@ -27,9 +27,6 @@ class ExperimentConfig:
     hidden_layers: int = 3
     color_n: float = 0.0938
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_frames: int = 128
     epochs: int = 100
     seed: int = 0

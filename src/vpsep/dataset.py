@@ -269,12 +269,11 @@ def load_training_frames(manifest: DatasetManifest, config: ExperimentConfig):
 
 
 def make_batches(x_all, t_all, batch_frames: int, rng: np.random.Generator):
-    """Shuffle frame columns and slice into minibatches (last one ragged),
-    each a C-ordered copy."""
+    """Shuffle frame columns and yield minibatches (last one ragged), each
+    a C-ordered copy made when it is reached.  The permutation is drawn on
+    the first ``next()``."""
     order = rng.permutation(x_all.shape[-1])
-    batches = []
     for start in range(0, len(order), batch_frames):
         idx = order[start:start + batch_frames]
-        batches.append((np.ascontiguousarray(x_all[..., idx]),
-                        np.ascontiguousarray(t_all[..., idx])))
-    return batches
+        yield (np.ascontiguousarray(x_all[..., idx]),
+               np.ascontiguousarray(t_all[..., idx]))

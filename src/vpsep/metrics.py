@@ -1,4 +1,4 @@
-"""Separation quality metrics: SDR/SIR/SAR, NSDR, and global aggregates.
+"""Separation quality metrics: SDR/SIR/SAR and their global aggregates.
 
 An estimate is decomposed by least squares into a filtered image of its
 true source, interference from the other references, and a residual
@@ -164,21 +164,6 @@ def sdr_sir_sar(decomp: Decomposition) -> BssResult:
 
 def sdr_only(est, refs, target_index: int = 0, filter_len: int = 512) -> float:
     return sdr_sir_sar(bss_decompose(est, refs, target_index, filter_len)).sdr
-
-
-def nsdr(est, mix, ref, refs=None, target_index: int = 0, filter_len: int = 512) -> float:
-    """SDR improvement of the estimate over using the mixture as-is.
-
-    By default the decomposition sees only ``ref``; pass the full
-    reference list (with ``target_index``) for the toolbox-style variant
-    that also models interference.
-    """
-    if refs is None:
-        refs = [ref]
-        target_index = 0
-    return sdr_only(est, refs, target_index, filter_len) - sdr_only(
-        mix, refs, target_index, filter_len
-    )
 
 
 def aggregate_global(per_clip, clip_lengths) -> GlobalMetrics:

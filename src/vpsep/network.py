@@ -87,10 +87,6 @@ class Network:
     def in_dim(self) -> int:
         return self.sizes[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.sizes[-1]
-
 
 def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run the network over a batch of input columns.

@@ -58,7 +58,6 @@ from .transform import (
     MagnitudeMatrix,
     color_decode,
     color_encode,
-    denormalize,
     normalize,
     window_decode,
     window_encode,
@@ -68,27 +67,27 @@ from .transform import (
 
 @dataclass
 class ModelCheckpoint:
-    """A trained (or freshly initialized) model plus everything needed to
-    run it: architecture, input transform, and parameters."""
+    """A trained (or freshly initialized) model; its input transform and
+    architecture follow from the model and the network's layer sizes."""
 
     model: str
-    hidden_width: int
-    hidden_layers: int
-    transform: str
     color_n: float
     network: Network
     epochs_trained: int = 0
     final_j: float | None = None
 
     def __post_init__(self):
-        problem = _contradiction(self.model, self.kind, self.transform,
-                                 self.hidden_width, self.hidden_layers, self.sizes)
-        if problem:
-            raise CheckpointError(problem)
+        _check_fit(self.model, self.sizes)
+        if self.kind != MODEL_SPECS[self.model]["kind"]:
+            raise CheckpointError(f"kind {self.kind!r} contradicts model {self.model}")
 
     @property
     def kind(self) -> str:
         return self.network.kind
+
+    @property
+    def transform(self) -> str:
+        return MODEL_SPECS[self.model]["transform"]
 
     @property
     def context(self) -> int:
@@ -96,27 +95,23 @@ class ModelCheckpoint:
 
     @property
     def arch(self) -> str:
-        return f"{self.hidden_width}x{self.hidden_layers}"
+        return f"{self.sizes[1]}x{len(self.sizes) - 2}"
 
     @property
     def sizes(self) -> list[int]:
         return list(self.network.sizes)
 
 
-def _contradiction(model, kind, transform, width, layers, sizes) -> str | None:
-    """What in a model description contradicts ``MODEL_SPECS`` and the
-    layer chain of its config, or None when everything fits."""
-    spec = MODEL_SPECS.get(model)
-    if spec is None:
-        return f"unknown model {model!r}"
-    if (kind, transform) != (spec["kind"], spec["transform"]):
-        return f"kind {kind!r} and transform {transform!r} contradict model {model}"
+def _check_fit(model, sizes: list[int]) -> None:
+    """Raise unless the model is in ``MODEL_SPECS`` and ``sizes`` is its
+    layer chain."""
+    if not isinstance(model, str) or model not in MODEL_SPECS:
+        raise CheckpointError(f"unknown model {model!r}")
     # the chain is taken for the stored bin count, so small test networks fit
-    if not (width >= 1 and layers >= 1 and sizes == ExperimentConfig(
-        model=model, hidden_width=width, hidden_layers=layers
-    ).network_sizes(sizes[-1] // 2)):
-        return f"layer sizes {sizes} do not fit {model} {width}x{layers}"
-    return None
+    if len(sizes) < 3 or min(sizes) < 1 or sizes != ExperimentConfig(
+        model=model, hidden_width=sizes[1], hidden_layers=len(sizes) - 2
+    ).network_sizes(sizes[-1] // 2):
+        raise CheckpointError(f"layer sizes {sizes} do not fit {model}")
 
 
 # --- training ---------------------------------------------------------------
@@ -142,12 +137,11 @@ def _engine(kind: str):
 
 def _decode_output(ckpt: ModelCheckpoint, y, scale: float) -> np.ndarray:
     """Network output back to raw magnitude rows (vocal stacked on music)."""
-    if ckpt.kind == "vp" and ckpt.transform == "color":
-        return denormalize(color_decode(y, ColorParams(ckpt.color_n), scale=scale))
-    if ckpt.kind == "vp":
-        return denormalize(window_decode(y, scale=scale))
-    data = np.clip(np.asarray(y, dtype=np.float64), 0.0, 1.0)
-    return denormalize(MagnitudeMatrix(data, scale))
+    if ckpt.kind == "real":
+        return np.clip(np.asarray(y, dtype=np.float64), 0.0, 1.0) * scale
+    if ckpt.transform == "color":
+        return color_decode(y, ColorParams(ckpt.color_n)).data * scale
+    return window_decode(y).data * scale
 
 
 def _split_sources(block):
@@ -172,8 +166,7 @@ def train(config: ExperimentConfig, manifest: DatasetManifest,
     x_all, t_all = load_training_frames(manifest, config)
     n_frames = x_all.shape[-1]
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    state = adam_init([net.params], lr=config.lr, beta1=config.beta1,
-                      beta2=config.beta2, epsilon=config.epsilon)
+    state = adam_init([net.params], lr=config.lr)
 
     history: list[float] = []
     for epoch in range(config.epochs):
@@ -199,9 +192,6 @@ def train(config: ExperimentConfig, manifest: DatasetManifest,
 
     ckpt = ModelCheckpoint(
         model=config.model,
-        hidden_width=config.hidden_width,
-        hidden_layers=config.hidden_layers,
-        transform=config.transform,
         color_n=config.color_n,
         network=net,
         epochs_trained=config.epochs,
@@ -403,26 +393,40 @@ _MAGIC = b"VPNC"
 _VERSION = 1
 
 
-def checkpoint_save(path, ckpt: ModelCheckpoint) -> None:
-    """Binary layout: magic, u32 version, u32 metadata length, JSON
-    metadata, raw float64 little-endian parameter planes in network
-    order, trailing CRC32 of everything before it."""
-    meta = {
+def _number(key: str, value, cast):
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise CheckpointError(f"{key} must be a number, got {value!r}") from e
+
+
+def _header(ckpt: ModelCheckpoint) -> dict:
+    """The v1 metadata of a checkpoint: what ``checkpoint_save`` writes and
+    the only metadata ``checkpoint_load`` accepts for it."""
+    sizes = ckpt.sizes
+    return {
         "model": ckpt.model,
         "kind": ckpt.kind,
-        "hidden_width": ckpt.hidden_width,
-        "hidden_layers": ckpt.hidden_layers,
-        "sizes": ckpt.sizes,
+        "hidden_width": sizes[1],
+        "hidden_layers": len(sizes) - 2,
+        "sizes": sizes,
         "transform": ckpt.transform,
-        "color_n": ckpt.color_n,
-        "epochs_trained": ckpt.epochs_trained,
-        "final_j": ckpt.final_j,
+        "color_n": _number("color_n", ckpt.color_n, float),
+        "epochs_trained": _number("epochs_trained", ckpt.epochs_trained, int),
+        "final_j": (None if ckpt.final_j is None
+                    else _number("final_j", ckpt.final_j, float)),
         "normalization": "per-clip-mixture-max",
         "sample_rate": TARGET_RATE,
         "window_len": WINDOW_LEN,
         "hop": HOP,
     }
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+
+
+def checkpoint_save(path, ckpt: ModelCheckpoint) -> None:
+    """Binary layout: magic, u32 version, u32 metadata length, JSON
+    metadata, raw float64 little-endian parameter planes in network
+    order, trailing CRC32 of everything before it."""
+    meta_bytes = json.dumps(_header(ckpt), sort_keys=True).encode("utf-8")
     blob = bytearray()
     blob += _MAGIC
     blob += struct.pack("<II", _VERSION, len(meta_bytes))
@@ -432,60 +436,57 @@ def checkpoint_save(path, ckpt: ModelCheckpoint) -> None:
     _atomic_write(path, lambda fh: fh.write(blob))
 
 
-def checkpoint_load(path, expect_model: str | None = None) -> ModelCheckpoint:
-    data = Path(path).read_bytes()
+def checkpoint_load(path) -> ModelCheckpoint:
+    """Read a checkpoint file.  It is refused unless its metadata is exactly
+    what ``checkpoint_save`` writes for the checkpoint it describes."""
+    try:
+        return _parse_checkpoint(Path(path).read_bytes())
+    except CheckpointError as e:
+        raise CheckpointError(f"{path}: {e}") from e
+
+
+def _parse_checkpoint(data: bytes) -> ModelCheckpoint:
     if len(data) < 12:
-        raise CheckpointError(f"{path}: truncated checkpoint")
+        raise CheckpointError("truncated checkpoint")
     if data[:4] != _MAGIC:
-        raise CheckpointError(f"{path}: not a model checkpoint")
+        raise CheckpointError("not a model checkpoint")
     version, meta_len = struct.unpack_from("<II", data, 4)
     if version != _VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        raise CheckpointError(f"unsupported checkpoint version {version}")
     if len(data) < 12 + meta_len + 4:
-        raise CheckpointError(f"{path}: truncated checkpoint")
+        raise CheckpointError("truncated checkpoint")
     stored_crc = struct.unpack_from("<I", data, len(data) - 4)[0]
     if zlib.crc32(data[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise CheckpointError(f"{path}: checksum mismatch")
+        raise CheckpointError("checksum mismatch")
     try:
         meta = json.loads(data[12:12 + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: unreadable metadata") from e
-    model, kind = meta.get("model"), meta.get("kind")
-    transform = meta.get("transform", MODEL_SPECS.get(model, {}).get("transform"))
+        raise CheckpointError("unreadable metadata") from e
     try:
-        sizes = [int(s) for s in meta["sizes"]]
-        width = int(meta.get("hidden_width", sizes[1]))
-        layers = int(meta.get("hidden_layers", len(sizes) - 2))
-        color_n = float(meta.get("color_n", 0.0938))
-        epochs_trained = int(meta.get("epochs_trained", 0))
-    except (KeyError, IndexError, TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: malformed metadata") from e
-    # checked before the payload is sized, so a contradiction is named
-    problem = _contradiction(model, kind, transform, width, layers, sizes)
-    if problem:
-        raise CheckpointError(f"{path}: {problem}")
-    if expect_model is not None and model != expect_model:
-        raise CheckpointError(
-            f"{path}: checkpoint holds {model}, expected {expect_model}"
-        )
+        model, sizes = meta["model"], [int(s) for s in meta["sizes"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise CheckpointError("malformed metadata") from e
+    if len(sizes) < 3:
+        raise CheckpointError(f"malformed metadata: layer sizes {sizes}")
+    _check_fit(model, sizes)  # before the payload is sized, so a misfit is named
 
     try:
         params = np.frombuffer(memoryview(data)[12 + meta_len:-4], dtype="<f8")
-        network = Network(kind, sizes, params.astype(np.float64))
+        network = Network(MODEL_SPECS[model]["kind"], sizes, params.astype(np.float64))
     except (ShapeMismatchError, ValueError) as e:
-        raise CheckpointError(f"{path}: parameter payload does not fit the "
-                              f"metadata: {e}") from e
+        raise CheckpointError(f"parameter payload does not fit the metadata: {e}") from e
 
-    return ModelCheckpoint(
-        model=model,
-        hidden_width=width,
-        hidden_layers=layers,
-        transform=transform,
-        color_n=color_n,
-        network=network,
-        epochs_trained=epochs_trained,
-        final_j=meta.get("final_j"),
-    )
+    ckpt = ModelCheckpoint(model, meta.get("color_n"), network,
+                           meta.get("epochs_trained"), meta.get("final_j"))
+    # compared as JSON, so 2 and 2.0, or 1 and true, differ as their bytes do
+    stored = {k: json.dumps(v) for k, v in meta.items()}
+    wanted = {k: json.dumps(v) for k, v in _header(ckpt).items()}
+    wrong = sorted(k for k in stored.keys() | wanted.keys()
+                   if stored.get(k) != wanted.get(k))
+    if wrong:
+        raise CheckpointError(f"malformed metadata: {', '.join(wrong)} contradict "
+                              f"{model} with layer sizes {sizes}")
+    return ckpt
 
 
 def checkpoint_summary(ckpt: ModelCheckpoint) -> str:

@@ -67,10 +67,6 @@ def normalize(mag: np.ndarray, scale: float | None = None) -> MagnitudeMatrix:
     return MagnitudeMatrix(np.clip(mag / scale, 0.0, 1.0), scale)
 
 
-def denormalize(s: MagnitudeMatrix) -> np.ndarray:
-    return s.data * s.scale
-
-
 def _planes_like(x: np.ndarray) -> np.ndarray:
     """Uninitialised (3, *x.shape) array whose planes share x's memory
     order: STFT magnitudes are column-major, and encoding them into
@@ -94,9 +90,9 @@ def window_encode(s: MagnitudeMatrix) -> np.ndarray:
     return v
 
 
-def window_decode(v: np.ndarray, scale: float = 1.0) -> MagnitudeMatrix:
+def window_decode(v: np.ndarray) -> MagnitudeMatrix:
     """The current-frame plane, clamped to [0,1]."""
-    return MagnitudeMatrix(np.clip(v[1], 0.0, 1.0), scale)
+    return MagnitudeMatrix(np.clip(v[1], 0.0, 1.0))
 
 
 def window_stack(s: MagnitudeMatrix) -> np.ndarray:
@@ -119,9 +115,7 @@ def color_encode(s: MagnitudeMatrix, p: ColorParams = ColorParams()) -> np.ndarr
     return v
 
 
-def color_decode(
-    v: np.ndarray, p: ColorParams = ColorParams(), scale: float = 1.0
-) -> MagnitudeMatrix:
+def color_decode(v: np.ndarray, p: ColorParams = ColorParams()) -> MagnitudeMatrix:
     """Project RGB triples back onto the ramp and return the curve
     parameter x in [0,1].
 
@@ -148,4 +142,4 @@ def color_decode(
     # nearest segment, ties to the earlier one (argmin's rule)
     x = np.where(d2 < d1, x2, x1)
     x = np.where(d3 < np.minimum(d1, d2), x3, x)
-    return MagnitudeMatrix(np.clip(x, 0.0, 1.0), scale)
+    return MagnitudeMatrix(np.clip(x, 0.0, 1.0))

@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -45,3 +49,19 @@ def max_rel_grad_err(analytic, numeric, floor_scale=1e-3):
 @pytest.fixture(scope="session")
 def grad_tools():
     return central_diff, max_rel_grad_err
+
+
+DROP = object()  # a with_meta value that removes its key
+
+
+def with_meta(data: bytes, **changes) -> bytes:
+    """Checkpoint bytes with metadata keys changed (or dropped) and a valid
+    CRC."""
+    meta_len = struct.unpack_from("<I", data, 8)[0]
+    meta = json.loads(data[12:12 + meta_len])
+    meta.update(changes)
+    meta = {k: v for k, v in meta.items() if v is not DROP}
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    body = (data[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes
+            + data[12 + meta_len:-4])
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)

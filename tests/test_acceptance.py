@@ -311,8 +311,7 @@ def test_criterion_10_protocol_fidelity(tmp_path):
     fixture = DatasetManifest(tmp_path / "part0", tuple(clips))
 
     cfg = ExperimentConfig(model="CVPNN", hidden_width=16, hidden_layers=1)
-    ckpt = ModelCheckpoint(model="CVPNN", hidden_width=16, hidden_layers=1,
-                           transform="color", color_n=cfg.color_n,
+    ckpt = ModelCheckpoint(model="CVPNN", color_n=cfg.color_n,
                            network=init_vp_network(cfg.network_sizes(N_BINS),
                                                    seed=0))
     flen = 32

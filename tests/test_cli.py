@@ -4,6 +4,8 @@ import pytest
 from vpsep import TARGET_RATE, Waveform, checkpoint_load, wav_read, wav_write
 from vpsep.cli import main
 
+from conftest import with_meta
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -102,6 +104,15 @@ def test_info_rejects_garbage(tmp_path, capsys):
     code, out, err = run(capsys, "info", str(bad))
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_info_rejects_non_numeric_final_j(cli_env, tmp_path, capsys):
+    bad = tmp_path / "bad_j.ckpt"
+    bad.write_bytes(with_meta(cli_env["ckpt"].read_bytes(), final_j="abc"))
+    code, out, err = run(capsys, "info", str(bad))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "final_j" in err and "Traceback" not in err
 
 
 def test_separate_writes_both_stems(cli_env, tmp_path, capsys):

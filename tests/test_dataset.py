@@ -10,7 +10,7 @@ from vpsep import (
     Waveform,
     load_manifest,
     normalize,
-    nsdr,
+    sdr_only,
     separate_ideal,
     stft,
     synth_dataset,
@@ -219,7 +219,7 @@ def test_make_batches_covers_every_frame_once():
     rng = np.random.default_rng(0)
     x = np.arange(2 * 11, dtype=np.float64).reshape(2, 11)
     t = -x
-    batches = make_batches(x, t, batch_frames=4, rng=rng)
+    batches = list(make_batches(x, t, batch_frames=4, rng=rng))
     assert [b[0].shape[1] for b in batches] == [4, 4, 3]
     seen = np.sort(np.concatenate([b[0][0] for b in batches]))
     assert np.array_equal(seen, x[0])
@@ -231,7 +231,7 @@ def test_make_batches_vecmatrix_route():
     rng = np.random.default_rng(1)
     x = np.stack([np.arange(10.0).reshape(1, 10) + k for k in range(3)])
     t = x.copy()
-    batches = make_batches(x, t, batch_frames=6, rng=rng)
+    batches = list(make_batches(x, t, batch_frames=6, rng=rng))
     assert [b[0].shape for b in batches] == [(3, 1, 6), (3, 1, 4)]
     seen = np.sort(np.concatenate([b[0][0, 0] for b in batches]))
     assert np.array_equal(seen, x[0, 0])
@@ -245,8 +245,8 @@ def test_build_training_set_deterministic(tiny_corpus):
 
     def one_pass():
         x_all, t_all = load_training_frames(tiny_corpus, cfg)
-        return make_batches(x_all, t_all, cfg.batch_frames,
-                            np.random.default_rng([cfg.seed, 1]))
+        return list(make_batches(x_all, t_all, cfg.batch_frames,
+                                 np.random.default_rng([cfg.seed, 1])))
 
     a = one_pass()
     b = one_pass()
@@ -263,5 +263,6 @@ def test_ideal_binary_mask_beats_mixture_by_5db(tiny_corpus):
     vocal, music = load_clip_stems(entry)
     mix = load_clip_mixture(entry)
     est_v, _ = separate_ideal(mix, vocal, music, kind="binary")
-    gain = nsdr(est_v.samples, mix.samples, vocal.samples, filter_len=32)
+    gain = (sdr_only(est_v.samples, [vocal.samples], filter_len=32)
+            - sdr_only(mix.samples, [vocal.samples], filter_len=32))
     assert gain > 5.0

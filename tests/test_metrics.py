@@ -7,7 +7,6 @@ from vpsep import (
     GlobalMetrics,
     aggregate_global,
     bss_decompose,
-    nsdr,
     sdr_only,
     sdr_sir_sar,
 )
@@ -139,27 +138,6 @@ def test_sdr_sir_sar_from_crafted_decomposition():
     assert r.sir == pytest.approx(10 * np.log10(4 / 1), abs=1e-12)
     assert r.sar == pytest.approx(10 * np.log10(5 / 1), abs=1e-12)
     assert isinstance(r, BssResult)
-
-
-def test_nsdr_zero_when_estimate_is_mixture():
-    s1, s2 = two_tones()
-    mix = s1 + s2
-    assert nsdr(mix, mix, s1, filter_len=4) == 0.0
-
-
-def test_nsdr_positive_for_partial_cleanup():
-    s1, s2 = two_tones()
-    mix = s1 + s2
-    est = s1 + 0.25 * s2
-    assert nsdr(est, mix, s1, filter_len=4) > 5.0
-
-
-def test_nsdr_toolbox_variant_accepts_reference_list():
-    s1, s2 = two_tones()
-    mix = s1 + s2
-    est = s1 + 0.25 * s2
-    v = nsdr(est, mix, s1, refs=[s1, s2], target_index=0, filter_len=4)
-    assert v > 5.0
 
 
 def test_bss_decompose_validation():

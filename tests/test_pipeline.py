@@ -36,6 +36,8 @@ from vpsep.errors import (
 )
 from vpsep.pipeline import checkpoint_summary
 
+from conftest import DROP, with_meta
+
 
 def small_cfg(**kw):
     base = dict(model="CVPNN", hidden_width=24, hidden_layers=2,
@@ -47,8 +49,7 @@ def small_cfg(**kw):
 def fresh_ckpt(model="CVPNN", width=24, layers=2, seed=0):
     cfg = ExperimentConfig(model=model, hidden_width=width, hidden_layers=layers)
     net = init_network(cfg.kind, cfg.network_sizes(N_BINS), seed=seed)
-    return ModelCheckpoint(model=model, hidden_width=width, hidden_layers=layers,
-                           transform=cfg.transform, color_n=cfg.color_n,
+    return ModelCheckpoint(model=model, color_n=cfg.color_n,
                            network=net)
 
 
@@ -322,8 +323,7 @@ V1_GOLDEN = {
 def test_checkpoint_v1_golden_bytes(model, tmp_path):
     kind, sizes, width, layers, transform, digest = V1_GOLDEN[model]
     net = init_vp_network(sizes, seed=0) if kind == "vp" else init_real_network(sizes, seed=0)
-    ckpt = ModelCheckpoint(model=model, hidden_width=width, hidden_layers=layers,
-                           transform=transform, color_n=0.0938, network=net)
+    ckpt = ModelCheckpoint(model=model, color_n=0.0938, network=net)
     path = tmp_path / "golden.ckpt"
     checkpoint_save(path, ckpt)
     data = path.read_bytes()
@@ -381,21 +381,6 @@ def test_checkpoint_detects_corruption(tmp_path):
             checkpoint_load(spath)
 
 
-def _with_meta(data: bytes, **changes) -> bytes:
-    """The checkpoint bytes with metadata keys changed and a valid CRC."""
-    import json
-    import struct
-    import zlib
-
-    meta_len = struct.unpack_from("<I", data, 8)[0]
-    meta = json.loads(data[12:12 + meta_len])
-    meta.update(changes)
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    body = (data[:4] + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes
-            + data[12 + meta_len:-4])
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-
-
 @pytest.mark.parametrize("changes, match", [
     ({"transform": "window"}, "transform"),
     ({"kind": "real"}, "kind"),
@@ -407,23 +392,34 @@ def _with_meta(data: bytes, **changes) -> bytes:
     ({"hidden_width": "abc"}, "malformed"),
     ({"sizes": None}, "malformed"),
     ({"sizes": [513]}, "malformed"),
+    ({"hop": 512}, "hop contradict CVPNN"),
+    ({"sample_rate": 44100}, "sample_rate contradict"),
+    ({"window_len": 2048}, "window_len contradict"),
+    ({"normalization": "global-max"}, "normalization contradict"),
+    ({"hop": 512, "sample_rate": 44100}, "hop, sample_rate contradict"),
+    ({"note": "extra"}, "note contradict"),
+    ({"hop": DROP}, "hop contradict"),
+    ({"final_j": DROP}, "final_j contradict"),
+    ({"epochs_trained": 2.0}, "epochs_trained contradict"),
+    ({"final_j": "abc"}, "final_j must be a number"),
+    ({"final_j": [1, 2]}, "final_j must be a number"),
 ])
 def test_checkpoint_rejects_metadata_contradicting_model(changes, match, tmp_path):
     ckpt = fresh_ckpt(model="CVPNN", width=8, layers=1)
     path = tmp_path / "m.ckpt"
     checkpoint_save(path, ckpt)
     edited = tmp_path / "edited.ckpt"
-    edited.write_bytes(_with_meta(path.read_bytes()))
+    edited.write_bytes(with_meta(path.read_bytes()))
     assert checkpoint_load(edited).arch == "8x1"  # the rewrite alone is harmless
-    edited.write_bytes(_with_meta(path.read_bytes(), **changes))
+    edited.write_bytes(with_meta(path.read_bytes(), **changes))
     with pytest.raises(CheckpointError, match=match):
         checkpoint_load(edited)
 
 
+# the transform column only names the model's input transform, which a
+# checkpoint reads from MODEL_SPECS
 @pytest.mark.parametrize("model, kind, transform, hidden, match", [
-    ("CVPNN", "vp", "window", 8, "transform"),
     ("CVPNN", "real", "color", 8, "kind"),
-    ("CVPNN", "vp", "color", 9, "sizes"),
     ("DNN3", "real", "window", 8, "sizes"),
     ("DNN4", "real", "none", 8, "unknown model"),
 ])
@@ -431,8 +427,7 @@ def test_model_checkpoint_rejects_contradicting_fields(model, kind, transform,
                                                        hidden, match):
     net = init_network(kind, [N_BINS, hidden, 2 * N_BINS], seed=0)
     with pytest.raises(CheckpointError, match=match):
-        ModelCheckpoint(model=model, hidden_width=8, hidden_layers=1,
-                        transform=transform, color_n=0.0938, network=net)
+        ModelCheckpoint(model=model, color_n=0.0938, network=net)
 
 
 def test_checkpoint_save_failure_keeps_target(tmp_path, monkeypatch):
@@ -452,16 +447,6 @@ def test_checkpoint_save_failure_keeps_target(tmp_path, monkeypatch):
         checkpoint_save(tmp_path / "new.ckpt", fresh_ckpt(width=8, layers=1))
     assert os.listdir(tmp_path) == ["model.ckpt"]
     assert path.read_bytes() == old
-
-
-def test_checkpoint_expect_model(tmp_path):
-    ckpt = fresh_ckpt(model="WVPNN", width=8, layers=1)
-    path = tmp_path / "w.ckpt"
-    checkpoint_save(path, ckpt)
-    loaded = checkpoint_load(path, expect_model="WVPNN")
-    assert loaded.model == "WVPNN"
-    with pytest.raises(CheckpointError, match="expected"):
-        checkpoint_load(path, expect_model="CVPNN")
 
 
 def test_checkpoint_summary_lines(tmp_path):
