@@ -51,18 +51,7 @@ from .metrics import (
     sdr_only,
     sdr_sir_sar,
 )
-from .network import (
-    Network,
-    init_network,
-    init_real_network,
-    init_vp_network,
-    loss_j,
-    param_count,
-    real_backward,
-    real_forward,
-    vp_backward,
-    vp_forward,
-)
+from .network import Network, backward, forward, init_network, loss_j
 from .optim import AdamState, adam_init, adam_step
 from .pipeline import (
     ClipEval,
@@ -99,14 +88,12 @@ __all__ = [
     "ShapeMismatchError", "TARGET_RATE", "TrainingDivergedError",
     "VpsepError", "Waveform", "WavFormatError", "WINDOW_LEN", "adam_init",
     "adam_step", "aggregate_global", "apply_mask_and_reconstruct",
-    "bss_decompose", "checkpoint_load", "checkpoint_save", "color_decode",
-    "color_encode", "covered_length", "evaluate", "evaluate_ideal",
-    "init_network", "init_real_network", "init_vp_network", "istft",
-    "load_manifest", "loss_j", "make_config", "n_frames_for", "normalize",
-    "param_count", "read_config_file",
-    "real_backward", "real_forward", "resample_to_16k", "sdr_only",
-    "sdr_sir_sar", "separate", "separate_ideal", "soft_mask", "stft",
-    "synth_dataset", "train", "vec_matmul", "vp_backward", "vp_forward",
-    "wav_read", "wav_write", "window_decode", "window_encode",
+    "backward", "bss_decompose", "checkpoint_load", "checkpoint_save",
+    "color_decode", "color_encode", "covered_length", "evaluate",
+    "evaluate_ideal", "forward", "init_network", "istft", "load_manifest",
+    "loss_j", "make_config", "n_frames_for", "normalize", "read_config_file",
+    "resample_to_16k", "sdr_only", "sdr_sir_sar", "separate",
+    "separate_ideal", "soft_mask", "stft", "synth_dataset", "train",
+    "vec_matmul", "wav_read", "wav_write", "window_decode", "window_encode",
     "window_stack", "write_manifest",
 ]

@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .audio import Waveform, wav_read, wav_write
+from .audio import Waveform, _atomic_write, wav_read, wav_write
 from .config import MODELS, make_config
 from .dataset import load_manifest, synth_dataset
 from .errors import VpsepError
@@ -109,10 +109,10 @@ def _cmd_evaluate(args) -> int:
     table = report.table_tsv()
     print(table, end="")
     if args.out is not None:
-        Path(args.out).write_text(table)
+        _atomic_write(args.out, lambda fh: fh.write(table.encode()))
         print(f"wrote {args.out}")
     if args.per_clip is not None:
-        Path(args.per_clip).write_text(report.per_clip_tsv())
+        _atomic_write(args.per_clip, lambda fh: fh.write(report.per_clip_tsv().encode()))
         print(f"wrote {args.per_clip}")
     return 0
 

@@ -3,10 +3,12 @@ config-file format."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .transform import check_color_n
 
 # model -> (network kind, default hidden width, input transform, context)
 MODEL_SPECS: dict[str, dict] = {
@@ -50,10 +52,9 @@ class ExperimentConfig:
             raise ConfigError("filter_len must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if not 0.0 < self.color_n < 0.5:
-            raise ConfigError(f"color_n must lie in (0, 0.5), got {self.color_n}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        check_color_n(self.color_n, ConfigError)
 
     @property
     def kind(self) -> str:

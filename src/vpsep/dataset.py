@@ -11,6 +11,7 @@ A corpus lives under one root directory:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .audio import (
     stft,
     wav_read,
     wav_write,
+    _atomic_write,
 )
 from .config import ExperimentConfig
 from .errors import DatasetError
@@ -52,8 +54,8 @@ class ClipEntry:
             raise DatasetError(
                 f"clip {self.clip_id!r}: split must be train or test, got {self.split!r}"
             )
-        if self.duration <= 0:
-            raise DatasetError(f"clip {self.clip_id!r}: nonpositive duration")
+        if not 0 < self.duration < math.inf:
+            raise DatasetError(f"clip {self.clip_id!r}: bad duration {self.duration}")
 
     @property
     def clip_dir(self) -> Path:
@@ -125,7 +127,8 @@ def write_manifest(manifest: DatasetManifest) -> Path:
     rows = ["\t".join(MANIFEST_HEADER)]
     for c in manifest.clips:
         rows.append(f"{c.clip_id}\t{c.split}\t{c.duration:.6f}")
-    path.write_text("\n".join(rows) + "\n")
+    text = "\n".join(rows) + "\n"
+    _atomic_write(path, lambda fh: fh.write(text.encode()))
     return path
 
 
@@ -178,8 +181,8 @@ def synth_dataset(root, seed: int = 0, n_train: int = 6, n_test: int = 4,
     root = Path(root)
     if n_train < 1 or n_test < 0:
         raise DatasetError("need at least one training clip")
-    if duration_s <= 0.2:
-        raise DatasetError("duration_s too short")
+    if not 0.2 < duration_s < math.inf:
+        raise DatasetError(f"duration_s must be finite and above 0.2, got {duration_s}")
     rate = TARGET_RATE
     n = int(round(duration_s * rate))
     clips = []

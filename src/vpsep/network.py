@@ -83,10 +83,6 @@ class Network:
         """The layer product and the sign of its adjoints."""
         return (vec_matmul, -1.0) if self.kind == "vp" else (np.matmul, 1.0)
 
-    @property
-    def in_dim(self) -> int:
-        return self.sizes[0]
-
 
 def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run the network over a batch of input columns.
@@ -95,10 +91,10 @@ def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
     that :func:`backward` needs.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[:-1] != net.lead + (net.in_dim,):
+    if x.shape[:-1] != net.lead + (net.sizes[0],):
         raise ShapeMismatchError(
             f"input shape {x.shape} does not fit a {net.kind} network "
-            f"with {net.in_dim} inputs"
+            f"with {net.sizes[0]} inputs"
         )
     product, _ = net.product()
     activations = [x]
@@ -138,9 +134,9 @@ def backward(net: Network, activations: list[np.ndarray], d_out) -> np.ndarray:
     return grad
 
 
-# Entry points named by network kind; both kinds share the one engine.
-vp_forward = real_forward = forward
-vp_backward = real_backward = backward
+# Per-kind names of the one engine, kept only because the benchmark's
+# tracer wraps them where vpsep.pipeline imports them.
+vp_forward, vp_backward = real_forward, real_backward = forward, backward
 
 
 def _frob_sq(e: np.ndarray) -> float:
@@ -148,25 +144,22 @@ def _frob_sq(e: np.ndarray) -> float:
     return float(sum(np.sum(p * p) for p in e.reshape(-1, *e.shape[-2:])))
 
 
-def loss_j(pred1, target1, pred2, target2):
-    """Two-source squared-error objective.
+def loss_j(pred, target) -> tuple[float, np.ndarray]:
+    """Joint two-source squared error of a stacked vocal-over-music block.
 
-    J = ||pred1 - target1||^2 + ||pred2 - target2||^2 with Frobenius norms
-    taken over all component planes.  Returns (J, (dJ/dpred1, dJ/dpred2)).
-    Operands are real or vector arrays, pairwise shape-matched.
+    J = ||pred - target||^2 over all rows and component planes; returns
+    (J, dJ/dpred = 2 (pred - target)).  Operands are real or vector arrays
+    of equal shape.
     """
-    pred1 = np.asarray(pred1, dtype=np.float64)
-    pred2 = np.asarray(pred2, dtype=np.float64)
-    if pred1.shape != np.shape(target1) or pred2.shape != np.shape(target2):
-        raise ShapeMismatchError("prediction/target shapes differ")
-    e1 = pred1 - target1
-    e2 = pred2 - target2
-    return _frob_sq(e1) + _frob_sq(e2), (2.0 * e1, 2.0 * e2)
-
-
-def param_count(net: Network) -> int:
-    """Total scalar parameter count; a 3-vector weight counts as three."""
-    return net.params.size
+    pred = np.asarray(pred, dtype=np.float64)
+    if pred.shape != np.shape(target):
+        raise ShapeMismatchError(
+            f"prediction shape {pred.shape} != target shape {np.shape(target)}")
+    e = pred - target
+    k = e.shape[-2] // 2
+    # summed source by source, each plane by plane: this order fixes the
+    # bits of every J, hence of final_j in the checkpoint
+    return _frob_sq(e[..., :k, :]) + _frob_sq(e[..., k:, :]), 2.0 * e
 
 
 def init_network(kind: str, sizes, seed) -> Network:
@@ -179,11 +172,3 @@ def init_network(kind: str, sizes, seed) -> Network:
         lim = math.sqrt(6.0 / (fan_in + fan_out))
         w[...] = rng.uniform(-lim, lim, w.shape)
     return net
-
-
-def init_vp_network(sizes, seed) -> Network:
-    return init_network("vp", sizes, seed)
-
-
-def init_real_network(sizes, seed) -> Network:
-    return init_network("real", sizes, seed)

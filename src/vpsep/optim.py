@@ -6,15 +6,24 @@ scalars; the update never couples entries.  A step overwrites the
 parameters and the state's moments and advances its step counter; every
 input check runs before the first write, so a rejected step changes
 nothing.
+
+The moment decay rates and the denominator's epsilon are the constants
+``BETA1`` = 0.9, ``BETA2`` = 0.999 and ``EPSILON`` = 1e-8 (Kingma & Ba's
+defaults); only the learning rate is a setting.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatchError, VpsepError
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 # Adam is elementwise, so each array is stepped in blocks of this many
 # values; whole-buffer temporaries cost memory and cache misses.
@@ -23,42 +32,24 @@ _ADAM_CHUNK = 1 << 16
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus hyperparameters."""
+    """First/second moment accumulators, step counter and learning rate."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise VpsepError(f"learning rate must be positive, got {self.lr}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise VpsepError(f"betas must lie in [0, 1): {self.beta1}, {self.beta2}")
+        if not 0 < self.lr < math.inf:
+            raise VpsepError(f"learning rate must be positive and finite, got {self.lr}")
         if self.t < 0:
             raise VpsepError("step counter cannot be negative")
 
 
-def adam_init(
-    params: list[np.ndarray],
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def adam_init(params: list[np.ndarray], lr: float = 1e-3) -> AdamState:
     """Fresh zero-moment state congruent with ``params``."""
-    return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        t=0,
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
+    return AdamState([np.zeros_like(p) for p in params],
+                     [np.zeros_like(p) for p in params], lr=lr)
 
 
 def _check_congruent(params, grads, state: AdamState) -> None:
@@ -91,9 +82,8 @@ def adam_step(
     """
     _check_congruent(params, grads, state)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1**state.t
-    c2 = 1.0 - b2**state.t
+    c1 = 1.0 - BETA1**state.t
+    c2 = 1.0 - BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         blocks = [...]  # whole array, unless flat views can be cut into blocks
         if all(a.flags.c_contiguous for a in (p, g, m, v)):
@@ -101,8 +91,8 @@ def adam_step(
             blocks = [slice(i, i + _ADAM_CHUNK) for i in range(0, p.size, _ADAM_CHUNK)]
         for blk in blocks:
             gb, mb, vb = g[blk], m[blk], v[blk]
-            mb *= b1
-            mb += (1.0 - b1) * gb
-            vb *= b2
-            vb += (1.0 - b2) * (gb * gb)
-            p[blk] -= state.lr * (mb / c1) / (np.sqrt(vb / c2) + state.epsilon)
+            mb *= BETA1
+            mb += (1.0 - BETA1) * gb
+            vb *= BETA2
+            vb += (1.0 - BETA2) * (gb * gb)
+            p[blk] -= state.lr * (mb / c1) / (np.sqrt(vb / c2) + EPSILON)

@@ -42,20 +42,13 @@ from .errors import (
     VpsepError,
 )
 from .metrics import GlobalMetrics, aggregate_global, bss_decompose, sdr_only, sdr_sir_sar
-from .network import (
-    Network,
-    init_network,
-    loss_j,
-    param_count,
-    real_backward,
-    real_forward,
-    vp_backward,
-    vp_forward,
-)
+from .network import (Network, init_network, loss_j, real_backward, real_forward,
+                      vp_backward, vp_forward)
 from .optim import adam_init, adam_step
 from .transform import (
     ColorParams,
     MagnitudeMatrix,
+    check_color_n,
     color_decode,
     color_encode,
     normalize,
@@ -80,6 +73,7 @@ class ModelCheckpoint:
         _check_fit(self.model, self.sizes)
         if self.kind != MODEL_SPECS[self.model]["kind"]:
             raise CheckpointError(f"kind {self.kind!r} contradicts model {self.model}")
+        check_color_n(_number("color_n", self.color_n, float), CheckpointError)
 
     @property
     def kind(self) -> str:
@@ -144,16 +138,6 @@ def _decode_output(ckpt: ModelCheckpoint, y, scale: float) -> np.ndarray:
     return window_decode(y).data * scale
 
 
-def _split_sources(block):
-    """Vocal rows and music rows of a real or vector block."""
-    k = block.shape[-2] // 2
-    return block[..., :k, :], block[..., k:, :]
-
-
-def _stack_sources(a, b):
-    return np.concatenate([a, b], axis=-2)
-
-
 def train(config: ExperimentConfig, manifest: DatasetManifest,
           on_epoch=None) -> tuple[ModelCheckpoint, list[float]]:
     """Minibatch Adam on the summed squared reconstruction error of both
@@ -175,14 +159,12 @@ def train(config: ExperimentConfig, manifest: DatasetManifest,
             make_batches(x_all, t_all, config.batch_frames, shuffle_rng)
         ):
             y, cache = forward(net, x)
-            pred_v, pred_m = _split_sources(y)
-            targ_v, targ_m = _split_sources(target)
-            j, (d_v, d_m) = loss_j(pred_v, targ_v, pred_m, targ_m)
+            j, d_y = loss_j(y, target)
             if not np.isfinite(j):
                 raise TrainingDivergedError(
                     f"loss became {j} at epoch {epoch}, batch {batch_i}"
                 )
-            grad = backward(net, cache, _stack_sources(d_v, d_m))
+            grad = backward(net, cache, d_y)
             adam_step([net.params], [grad], state)
             total_j += j
         mean_j = total_j / n_frames
@@ -498,7 +480,7 @@ def checkpoint_summary(ckpt: ModelCheckpoint) -> str:
         f"context: {ckpt.context}",
         f"transform: {ckpt.transform}",
         f"sizes: {'-'.join(str(s) for s in ckpt.sizes)}",
-        f"parameters: {param_count(ckpt.network)}",
+        f"parameters: {ckpt.network.params.size}",
         f"epochs_trained: {ckpt.epochs_trained}",
         f"final_j: {'none' if ckpt.final_j is None else f'{ckpt.final_j:.6f}'}",
     ]

@@ -39,15 +39,20 @@ class MagnitudeMatrix:
         object.__setattr__(self, "data", arr)
 
 
+def check_color_n(n: float, error: type[VpsepError] = VpsepError) -> None:
+    """Raise ``error`` unless the ramp bias has n > 0 and 1 - 2n > 0."""
+    if not 0.0 < n < 0.5:
+        raise error(f"color_n must lie in (0, 0.5), got {n}")
+
+
 @dataclass(frozen=True)
 class ColorParams:
-    """Bias of the RGB ramp; the third segment needs 1 - 2n > 0."""
+    """Bias of the RGB ramp."""
 
     n: float = 0.0938
 
     def __post_init__(self):
-        if not 0.0 < self.n < 0.5:
-            raise VpsepError(f"color bias must lie in (0, 0.5), got {self.n}")
+        check_color_n(self.n)
 
 
 def normalize(mag: np.ndarray, scale: float | None = None) -> MagnitudeMatrix:

@@ -70,18 +70,19 @@ def vec_matmul_naive(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def adam_step_pure(params, grads, state: AdamState):
     """Adam as a pure function: returns new parameters and a new state,
     leaving its inputs untouched.  Checks are left to the library."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
     t = state.t + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
     new_m, new_v, new_p = [], [], []
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
         m_hat = m / c1
         v_hat = v / c2
         new_m.append(m)
         new_v.append(v)
-        new_p.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon))
+        new_p.append(p - state.lr * m_hat / (np.sqrt(v_hat) + eps))
     return new_p, replace(state, m=new_m, v=new_v, t=t)
 
 

@@ -16,19 +16,17 @@ from vpsep import (
     ModelCheckpoint,
     Waveform,
     apply_mask_and_reconstruct,
+    backward,
     bss_decompose,
     color_decode,
     color_encode,
     covered_length,
     evaluate,
     evaluate_ideal,
-    init_real_network,
-    init_vp_network,
+    forward,
+    init_network,
     istft,
     loss_j,
-    param_count,
-    real_backward,
-    real_forward,
     sdr_only,
     sdr_sir_sar,
     separate,
@@ -37,13 +35,10 @@ from vpsep import (
     synth_dataset,
     train,
     vec_matmul,
-    vp_backward,
-    vp_forward,
     window_decode,
     window_encode,
 )
 from vpsep.dataset import load_clip_mixture, load_clip_stems
-from vpsep.pipeline import _split_sources, _stack_sources
 
 from conftest import central_diff, max_rel_grad_err
 from oracles import Vec3, cross, dot, vec_matmul_naive
@@ -90,34 +85,14 @@ def test_criterion_02_matmul_oracle_equivalence():
     assert monotonic() - t0 < 1.0
 
 
-def _grad_check_vp(net, x, target):
-    y, cache = vp_forward(net, x)
-    pv, pm = _split_sources(y)
-    tv, tm = _split_sources(target)
-    _, (dv, dm) = loss_j(pv, tv, pm, tm)
-    grads = vp_backward(net, cache, _stack_sources(dv, dm))
+def _grad_check(net, x, target):
+    y, cache = forward(net, x)
+    _, d_y = loss_j(y, target)
+    grads = backward(net, cache, d_y)
 
     def f():
-        yy, _ = vp_forward(net, x)
-        qv, qm = _split_sources(yy)
-        j, _ = loss_j(qv, tv, qm, tm)
-        return j
-
-    numeric = central_diff(f, [net.params], eps=1e-6)
-    return max_rel_grad_err([grads], numeric)
-
-
-def _grad_check_real(net, x, target):
-    y, cache = real_forward(net, x)
-    pv, pm = _split_sources(y)
-    tv, tm = _split_sources(target)
-    _, (dv, dm) = loss_j(pv, tv, pm, tm)
-    grads = real_backward(net, cache, _stack_sources(dv, dm))
-
-    def f():
-        yy, _ = real_forward(net, x)
-        qv, qm = _split_sources(yy)
-        j, _ = loss_j(qv, tv, qm, tm)
+        yy, _ = forward(net, x)
+        j, _ = loss_j(yy, target)
         return j
 
     numeric = central_diff(f, [net.params], eps=1e-6)
@@ -133,22 +108,22 @@ def test_criterion_03_gradients_match_finite_differences():
         return MagnitudeMatrix(rng.uniform(0, 1, (f_bins, frames)))
 
     # plain real network on raw magnitude frames
-    real_net = init_real_network([f_bins, 14, 14, 14, 2 * f_bins], seed=30)
+    real_net = init_network("real", [f_bins, 14, 14, 14, 2 * f_bins], seed=30)
     x = rand_mags().data
     target = np.vstack([rand_mags().data, rand_mags().data])
-    err_real = _grad_check_real(real_net, x, target)
+    err_real = _grad_check(real_net, x, target)
 
     # context-window vector network
-    wnet = init_vp_network([f_bins, 12, 12, 12, 2 * f_bins], seed=31)
+    wnet = init_network("vp", [f_bins, 12, 12, 12, 2 * f_bins], seed=31)
     xw = window_encode(rand_mags())
-    tw = _stack_sources(window_encode(rand_mags()), window_encode(rand_mags()))
-    err_window = _grad_check_vp(wnet, xw, tw)
+    tw = np.concatenate([window_encode(rand_mags()), window_encode(rand_mags())], axis=-2)
+    err_window = _grad_check(wnet, xw, tw)
 
     # color-coded vector network
-    cnet = init_vp_network([f_bins, 12, 12, 12, 2 * f_bins], seed=32)
+    cnet = init_network("vp", [f_bins, 12, 12, 12, 2 * f_bins], seed=32)
     xc = color_encode(rand_mags())
-    tc = _stack_sources(color_encode(rand_mags()), color_encode(rand_mags()))
-    err_color = _grad_check_vp(cnet, xc, tc)
+    tc = np.concatenate([color_encode(rand_mags()), color_encode(rand_mags())], axis=-2)
+    err_color = _grad_check(cnet, xc, tc)
 
     assert err_real < 1e-4
     assert err_window < 1e-4
@@ -275,9 +250,9 @@ def test_criterion_08_parameter_count_ratio():
     sizes_cvpnn = ExperimentConfig(model="CVPNN").network_sizes(N_BINS)
     sizes_dnn1 = ExperimentConfig(model="DNN1").network_sizes(N_BINS)
     assert sizes_cvpnn == sizes_dnn1 == [513, 512, 512, 512, 1026]
-    vp = init_vp_network(sizes_cvpnn, seed=0)
-    real = init_real_network(sizes_dnn1, seed=0)
-    assert param_count(vp) == 3 * param_count(real)
+    vp = init_network("vp", sizes_cvpnn, seed=0)
+    real = init_network("real", sizes_dnn1, seed=0)
+    assert vp.params.size == 3 * real.params.size
 
 
 def test_criterion_09_desk_scale_end_to_end(tmp_path):
@@ -312,8 +287,8 @@ def test_criterion_10_protocol_fidelity(tmp_path):
 
     cfg = ExperimentConfig(model="CVPNN", hidden_width=16, hidden_layers=1)
     ckpt = ModelCheckpoint(model="CVPNN", color_n=cfg.color_n,
-                           network=init_vp_network(cfg.network_sizes(N_BINS),
-                                                   seed=0))
+                           network=init_network("vp", cfg.network_sizes(N_BINS),
+                                                seed=0))
     flen = 32
     report = evaluate(ckpt, fixture, filter_len=flen, split="test")
 

@@ -180,6 +180,31 @@ def test_evaluate_writes_reports(cli_env, tmp_path, capsys):
     assert len(body) == 3  # 1 test clip x 2 sources
 
 
+def test_evaluate_report_failure_keeps_targets(cli_env, tmp_path, capsys,
+                                               monkeypatch):
+    import os
+
+    out_dir = tmp_path / "reports"
+    out_dir.mkdir()
+    table, per_clip = out_dir / "table.tsv", out_dir / "clips.tsv"
+    table.write_text("old table\n")
+    per_clip.write_text("old clips\n")
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    for flag, path in (("--out", table), ("--per-clip", per_clip)):
+        code, out, err = run(capsys, "evaluate", "--ideal", "soft",
+                             "--data", str(cli_env["data"]), "--filter-len", "16",
+                             flag, str(path))
+        assert code == 1
+        assert "rename refused" in err
+    assert sorted(os.listdir(out_dir)) == ["clips.tsv", "table.tsv"]
+    assert table.read_text() == "old table\n"
+    assert per_clip.read_text() == "old clips\n"
+
+
 def test_evaluate_ideal_mask(cli_env, capsys):
     code, out, err = run(capsys, "evaluate", "--ideal", "soft",
                          "--data", str(cli_env["data"]), "--filter-len", "16")

@@ -91,6 +91,16 @@ def test_bounds_validation():
         ExperimentConfig(workers=0)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_rejects_non_finite_lr(lr, tmp_path):
+    with pytest.raises(ConfigError, match="lr must be positive and finite"):
+        ExperimentConfig(lr=lr)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"lr = {lr}\n")
+    with pytest.raises(ConfigError, match="lr must be positive and finite"):
+        make_config(path)
+
+
 def test_read_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(

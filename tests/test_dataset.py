@@ -71,6 +71,39 @@ def test_synth_rejects_bad_parameters(tmp_path):
         synth_dataset(tmp_path / "y", duration_s=0.05)
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+def test_synth_rejects_non_finite_duration(duration, tmp_path):
+    with pytest.raises(DatasetError, match="duration_s"):
+        synth_dataset(tmp_path / "x", duration_s=duration)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf", "-inf"])
+def test_manifest_rejects_non_finite_duration(duration, tmp_path):
+    (tmp_path / "manifest.tsv").write_text(
+        f"clip_id\tsplit\tduration\nx\ttrain\t{duration}\n")
+    with pytest.raises(DatasetError, match="bad duration"):
+        load_manifest(tmp_path)
+
+
+def test_write_manifest_failure_keeps_target(tmp_path, monkeypatch):
+    import os
+
+    first = DatasetManifest(tmp_path, (ClipEntry("a", "train", 4.0, tmp_path),))
+    path = write_manifest(first)
+    old = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    second = DatasetManifest(tmp_path, (ClipEntry("b", "test", 2.0, tmp_path),))
+    with pytest.raises(OSError, match="rename refused"):
+        write_manifest(second)
+    assert os.listdir(tmp_path) == ["manifest.tsv"]
+    assert path.read_bytes() == old
+
+
 def test_manifest_roundtrip(tmp_path):
     root = tmp_path / "m"
     root.mkdir()

@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from vpsep import (
-    Network,
-    init_real_network,
-    init_vp_network,
-    loss_j,
-    param_count,
-    real_backward,
-    real_forward,
-    vp_backward,
-    vp_forward,
-)
+from vpsep import Network, backward, forward, init_network, loss_j
 from vpsep.errors import ShapeMismatchError
 
 from conftest import central_diff, max_rel_grad_err
@@ -37,11 +27,11 @@ def single_layer(w_triple, b_triple):
 
 
 def test_vp_forward_zero_net_outputs_half():
-    net = init_vp_network([3, 4, 2], seed=0)
+    net = init_network("vp", [3, 4, 2], seed=0)
     for w, _ in net.layers:
         w[...] = 0.0
     a0 = rand_vm(np.random.default_rng(0), 3, 5)
-    y, _ = vp_forward(net, a0)
+    y, _ = forward(net, a0)
     for plane in y:
         assert np.all(plane == 0.5)
 
@@ -49,7 +39,7 @@ def test_vp_forward_zero_net_outputs_half():
 def test_vp_forward_bias_only():
     net = single_layer((0, 0, 0), (0.3, -1.2, 2.0))
     a0 = vec_col((7.0, -3.0, 0.5))
-    y, _ = vp_forward(net, a0)
+    y, _ = forward(net, a0)
     want = expit(np.array([0.3, -1.2, 2.0]))
     got = vec_at(y, 0, 0).as_array()
     assert np.allclose(got, want, rtol=0, atol=1e-15)
@@ -58,35 +48,35 @@ def test_vp_forward_bias_only():
 def test_vp_forward_cross_example():
     net = single_layer((1, 2, 3), (0, 0, 0))
     a0 = vec_col((4.0, 5.0, 6.0))
-    y, _ = vp_forward(net, a0)
+    y, _ = forward(net, a0)
     want = expit(np.array([-3.0, 6.0, -3.0]))
     assert np.allclose(vec_at(y, 0, 0).as_array(), want, rtol=0, atol=1e-15)
 
 
 def test_vp_forward_deterministic_and_bounded():
-    net = init_vp_network([4, 6, 3], seed=5)
+    net = init_network("vp", [4, 6, 3], seed=5)
     rng = np.random.default_rng(6)
     a0 = rand_vm(rng, 4, 7)
-    y1, _ = vp_forward(net, a0)
-    y2, _ = vp_forward(net, a0)
+    y1, _ = forward(net, a0)
+    y2, _ = forward(net, a0)
     for p1, p2 in zip(y1, y2):
         assert np.array_equal(p1, p2)
         assert np.all((p1 > 0.0) & (p1 < 1.0))
 
 
 def test_vp_forward_shape_mismatch():
-    net = init_vp_network([4, 6, 3], seed=5)
+    net = init_network("vp", [4, 6, 3], seed=5)
     with pytest.raises(ShapeMismatchError):
-        vp_forward(net, np.zeros((3, 5, 2)))
+        forward(net, np.zeros((3, 5, 2)))
     with pytest.raises(ShapeMismatchError):
-        vp_forward(net, np.zeros((4, 2)))
+        forward(net, np.zeros((4, 2)))
 
 
 def test_vp_forward_matches_naive_matmul_route():
-    net = init_vp_network([5, 7, 4], seed=8)
+    net = init_network("vp", [5, 7, 4], seed=8)
     rng = np.random.default_rng(9)
     a0 = rand_vm(rng, 5, 6, "uniform")
-    y_fast, _ = vp_forward(net, a0)
+    y_fast, _ = forward(net, a0)
 
     a = a0
     for w, b in net.layers:
@@ -96,11 +86,11 @@ def test_vp_forward_matches_naive_matmul_route():
 
 
 def test_vp_backward_zero_upstream():
-    net = init_vp_network([3, 5, 2], seed=1)
+    net = init_network("vp", [3, 5, 2], seed=1)
     rng = np.random.default_rng(2)
     a0 = rand_vm(rng, 3, 4)
-    _, cache = vp_forward(net, a0)
-    grads = vp_backward(net, cache, np.zeros((3, 2, 4)))
+    _, cache = forward(net, a0)
+    grads = backward(net, cache, np.zeros((3, 2, 4)))
     assert grads.shape == net.params.shape
     assert np.all(grads == 0.0)
 
@@ -112,11 +102,11 @@ def test_vp_backward_single_1x1_finite_difference():
     a0 = vec_col(tuple(rng.standard_normal(3)))
     target = vec_col(tuple(rng.uniform(0.2, 0.8, 3)))
 
-    y, cache = vp_forward(net, a0)
-    grads = vp_backward(net, cache, 2 * (y - target))
+    y, cache = forward(net, a0)
+    grads = backward(net, cache, 2 * (y - target))
 
     def f():
-        yy, _ = vp_forward(net, a0)
+        yy, _ = forward(net, a0)
         return frob_sq(yy - target)
 
     numeric = central_diff(f, [net.params])
@@ -125,15 +115,15 @@ def test_vp_backward_single_1x1_finite_difference():
 
 def test_vp_backward_three_layer_finite_difference():
     rng = np.random.default_rng(4)
-    net = init_vp_network([5, 8, 4, 4], seed=13)
+    net = init_network("vp", [5, 8, 4, 4], seed=13)
     a0 = rand_vm(rng, 5, 3, "uniform")
     target = rand_vm(rng, 4, 3, "uniform")
 
-    y, cache = vp_forward(net, a0)
-    grads = vp_backward(net, cache, 2 * (y - target))
+    y, cache = forward(net, a0)
+    grads = backward(net, cache, 2 * (y - target))
 
     def f():
-        yy, _ = vp_forward(net, a0)
+        yy, _ = forward(net, a0)
         return frob_sq(yy - target)
 
     numeric = central_diff(f, [net.params])
@@ -141,25 +131,25 @@ def test_vp_backward_three_layer_finite_difference():
 
 
 def test_real_forward_zero_net_outputs_half():
-    net = init_real_network([4, 3, 2], seed=0)
+    net = init_network("real", [4, 3, 2], seed=0)
     for w, _ in net.layers:
         w[...] = 0.0
     x = np.random.default_rng(1).standard_normal((4, 6))
-    y, _ = real_forward(net, x)
+    y, _ = forward(net, x)
     assert np.all(y == 0.5)
 
 
 def test_real_backward_finite_difference():
     rng = np.random.default_rng(5)
-    net = init_real_network([6, 9, 5], seed=21)
+    net = init_network("real", [6, 9, 5], seed=21)
     x = rng.standard_normal((6, 4))
     target = rng.uniform(0, 1, (5, 4))
 
-    y, cache = real_forward(net, x)
-    grads = real_backward(net, cache, 2 * (y - target))
+    y, cache = forward(net, x)
+    grads = backward(net, cache, 2 * (y - target))
 
     def f():
-        yy, _ = real_forward(net, x)
+        yy, _ = forward(net, x)
         return float(np.sum((yy - target) ** 2))
 
     numeric = central_diff(f, [net.params])
@@ -168,89 +158,117 @@ def test_real_backward_finite_difference():
 
 def test_context_stacked_real_network_shapes():
     f_bins = 7
-    net = init_real_network([3 * f_bins, 10, 2 * f_bins], seed=2)
+    net = init_network("real", [3 * f_bins, 10, 2 * f_bins], seed=2)
     x = np.random.default_rng(3).uniform(0, 1, (3 * f_bins, 5))
-    y, _ = real_forward(net, x)
+    y, _ = forward(net, x)
     assert y.shape == (2 * f_bins, 5)
+
+
+def stack(vocal, music):
+    """A vocal-over-music block, as the networks output and train on."""
+    return np.concatenate([vocal, music], axis=-2)
 
 
 def test_loss_j_zero_when_equal():
     rng = np.random.default_rng(6)
     a = rand_vm(rng, 3, 4)
     b = rand_vm(rng, 3, 4)
-    j, (g1, g2) = loss_j(a, a.copy(), b, b.copy())
+    y = stack(a, b)
+    j, g = loss_j(y, y.copy())
     assert j == 0.0
-    assert frob_sq(g1) == 0.0 and frob_sq(g2) == 0.0
+    assert frob_sq(g[:, :3]) == 0.0 and frob_sq(g[:, 3:]) == 0.0
 
 
 def test_loss_j_unit_difference():
     ones = np.ones((3, 1, 1))
     zero = np.zeros((3, 1, 1))
-    j, _ = loss_j(ones, zero, zero, zero.copy())
+    j, _ = loss_j(stack(ones, zero), stack(zero, zero.copy()))
     assert j == 3.0
 
 
 def test_loss_j_gradient_is_finite_difference_exact():
     rng = np.random.default_rng(7)
-    pred1 = rand_vm(rng, 2, 3)
-    pred2 = rand_vm(rng, 2, 3)
-    t1 = rand_vm(rng, 2, 3)
-    t2 = rand_vm(rng, 2, 3)
-    _, (g1, g2) = loss_j(pred1, t1, pred2, t2)
+    pred = stack(rand_vm(rng, 2, 3), rand_vm(rng, 2, 3))
+    target = stack(rand_vm(rng, 2, 3), rand_vm(rng, 2, 3))
+    _, g = loss_j(pred, target)
 
     def f():
-        j, _ = loss_j(pred1, t1, pred2, t2)
+        j, _ = loss_j(pred, target)
         return j
 
-    numeric1 = central_diff(f, list(pred1))
-    numeric2 = central_diff(f, list(pred2))
-    for a, n in zip(list(g1) + list(g2), numeric1 + numeric2):
+    numeric = central_diff(f, list(pred))  # plane views of pred
+    for a, n in zip(list(g), numeric):
         assert np.max(np.abs(a - n)) < 1e-8
 
 
 def test_loss_j_real_arrays_and_mismatch():
     a = np.ones((2, 2))
-    j, (g1, g2) = loss_j(a, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+    j, g = loss_j(stack(a, np.zeros((2, 2))), np.zeros((4, 2)))
     assert j == 4.0
-    assert np.array_equal(g1, 2 * a)
-    assert np.all(g2 == 0.0)
+    assert np.array_equal(g[:2], 2 * a)
+    assert np.all(g[2:] == 0.0)
     with pytest.raises(ShapeMismatchError):
-        loss_j(a, np.zeros((2, 3)), a, a)
+        loss_j(a, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("shape", [(3, 10, 7), (10, 7)], ids=["vp", "real"])
+def test_loss_j_sums_vocal_planes_then_music_planes(shape):
+    # J's summation order fixes the bits of every J, hence of final_j in
+    # checkpoints: each source's planes in turn, vocal before music
+    rng = np.random.default_rng(0)
+    y, t = rng.uniform(0, 1, shape), rng.uniform(0, 1, shape)
+    e = y - t
+    half = shape[-2] // 2
+
+    def plane_sums(block):
+        total = 0.0
+        for plane in block.reshape(-1, half, shape[-1]):
+            total += (plane * plane).sum()
+        return total
+
+    want = plane_sums(e[..., :half, :]) + plane_sums(e[..., half:, :])
+    j, grad = loss_j(y, t)
+    assert j == want
+    assert j == pytest.approx(np.sum((y - t) ** 2), rel=1e-12)
+    assert np.array_equal(grad, 2 * (y - t))
+    # a single sum over the block rounds differently on these data, so the
+    # == above does pin the order
+    assert want != np.sum(e * e)
 
 
 def test_param_count_single_1x1_layer():
     net = single_layer((1, 2, 3), (4, 5, 6))
-    assert param_count(net) == 6
+    assert net.params.size == 6
 
 
 def test_param_count_vp_triples_matched_real():
     sizes = [13, 8, 8, 8, 26]
-    vp = init_vp_network(sizes, seed=0)
-    real = init_real_network(sizes, seed=0)
-    assert param_count(vp) == 3 * param_count(real)
+    vp = init_network("vp", sizes, seed=0)
+    real = init_network("real", sizes, seed=0)
+    assert vp.params.size == 3 * real.params.size
 
 
 def test_param_count_reports_wide_real_baseline():
     # the 3x-wide real network is not parameter-equal to the vector network
     # of a third the width; counts are compared, not asserted equal
-    narrow_vp = init_vp_network([13, 8, 8, 4], seed=0)
-    wide_real = init_real_network([13, 24, 24, 4], seed=0)
-    ratio = param_count(wide_real) / param_count(narrow_vp)
+    narrow_vp = init_network("vp", [13, 8, 8, 4], seed=0)
+    wide_real = init_network("real", [13, 24, 24, 4], seed=0)
+    ratio = wide_real.params.size / narrow_vp.params.size
     assert ratio != pytest.approx(1.0, abs=0.2)
 
 
 def test_init_deterministic_and_zero_bias():
-    a = init_vp_network([4, 6, 2], seed=42)
-    b = init_vp_network([4, 6, 2], seed=42)
+    a = init_network("vp", [4, 6, 2], seed=42)
+    b = init_network("vp", [4, 6, 2], seed=42)
     assert np.array_equal(a.params, b.params)
     for _, bias in a.layers:
         assert np.all(bias == 0.0)
-    c = init_vp_network([4, 6, 2], seed=43)
+    c = init_network("vp", [4, 6, 2], seed=43)
     assert not np.array_equal(a.layers[0][0][0], c.layers[0][0][0])
 
 
 def test_init_weight_mean_near_zero():
-    net = init_vp_network([320, 105], seed=77)
+    net = init_network("vp", [320, 105], seed=77)
     draws = net.layers[0][0].ravel()
     lim = np.sqrt(6.0 / (320 + 105))
     se = lim / np.sqrt(3.0 * draws.size)
@@ -261,22 +279,22 @@ def test_init_weight_mean_near_zero():
 
 def test_init_rejects_zero_width():
     with pytest.raises(ShapeMismatchError):
-        init_vp_network([4, 0, 2], seed=0)
+        init_network("vp", [4, 0, 2], seed=0)
     with pytest.raises(ShapeMismatchError):
-        init_real_network([4], seed=0)
+        init_network("real", [4], seed=0)
 
 
 def test_small_sgd_step_decreases_loss():
     rng = np.random.default_rng(8)
-    net = init_vp_network([4, 6, 3], seed=3)
+    net = init_network("vp", [4, 6, 3], seed=3)
     a0 = rand_vm(rng, 4, 5, "uniform")
     target = rand_vm(rng, 3, 5, "uniform")
 
-    y, cache = vp_forward(net, a0)
+    y, cache = forward(net, a0)
     j_before = frob_sq(y - target)
-    grads = vp_backward(net, cache, 2 * (y - target))
+    grads = backward(net, cache, 2 * (y - target))
     net.params -= 1e-3 * grads  # the layer views follow the buffer
-    y2, _ = vp_forward(net, a0)
+    y2, _ = forward(net, a0)
     j_after = frob_sq(y2 - target)
     assert j_after < j_before
 

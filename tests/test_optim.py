@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from vpsep.errors import ShapeMismatchError, VpsepError
-from vpsep.optim import AdamState, adam_init, adam_step
+from vpsep.optim import BETA1, BETA2, EPSILON, AdamState, adam_init, adam_step
 
 from oracles import adam_step_pure
 
@@ -51,7 +53,7 @@ def test_adam_two_steps_match_hand_recurrence():
     theta_2 = theta_1 - lr * (m / (1 - b1**2)) / (np.sqrt(v / (1 - b2**2)) + eps)
 
     params = arrs([[0.7]])
-    state = adam_init(params, lr=lr, beta1=b1, beta2=b2, epsilon=eps)
+    state = adam_init(params, lr=lr)  # b1, b2 and eps are Adam's constants
     adam_step(params, arrs([[g1]]), state)
     assert params[0][0, 0] == pytest.approx(theta_1, abs=1e-12)
     adam_step(params, arrs([[g2]]), state)
@@ -182,9 +184,12 @@ def test_adam_state_validates_hyperparameters():
     with pytest.raises(VpsepError):
         adam_init(arrs([[1.0]]), lr=0.0)
     with pytest.raises(VpsepError):
-        adam_init(arrs([[1.0]]), beta1=1.0)
+        adam_init(arrs([[1.0]]), lr=float("nan"))
     with pytest.raises(VpsepError):
-        adam_init(arrs([[1.0]]), beta2=-0.1)
+        adam_init(arrs([[1.0]]), lr=float("inf"))
     with pytest.raises(VpsepError):
         AdamState(m=[], v=[], t=-1)
+    # the decay rates and epsilon are constants, not settings
+    assert [f.name for f in fields(AdamState)] == ["m", "v", "t", "lr"]
+    assert (BETA1, BETA2, EPSILON) == (0.9, 0.999, 1e-8)
 

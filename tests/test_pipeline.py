@@ -15,16 +15,13 @@ from vpsep import (
     checkpoint_save,
     evaluate,
     evaluate_ideal,
+    forward,
     init_network,
-    init_real_network,
-    init_vp_network,
     load_manifest,
-    param_count,
     resample_to_16k,
     separate,
     separate_ideal,
     train,
-    vp_forward,
 )
 from vpsep.audio import wav_read, wav_write
 from vpsep.dataset import DatasetManifest, load_clip_mixture, load_clip_stems, synth_dataset
@@ -59,7 +56,7 @@ def test_train_zero_epochs_returns_initialization(tiny_corpus):
     assert history == []
     assert ckpt.epochs_trained == 0
     assert ckpt.final_j is None
-    want = init_vp_network(cfg.network_sizes(N_BINS), seed=[cfg.seed, 0])
+    want = init_network("vp", cfg.network_sizes(N_BINS), seed=[cfg.seed, 0])
     assert np.array_equal(ckpt.network.params, want.params)
 
 
@@ -101,9 +98,9 @@ def test_train_real_model(tiny_corpus):
 def test_train_divergence_reported(tiny_corpus, monkeypatch):
     real_loss = pipeline.loss_j
 
-    def poisoned(p1, t1, p2, t2):
-        _, grads = real_loss(p1, t1, p2, t2)
-        return float("nan"), grads
+    def poisoned(pred, target):
+        _, grad = real_loss(pred, target)
+        return float("nan"), grad
 
     monkeypatch.setattr(pipeline, "loss_j", poisoned)
     with pytest.raises(TrainingDivergedError, match="epoch 0"):
@@ -159,7 +156,7 @@ def test_all_models_train_and_separate(model, tiny_corpus):
                            epochs=1, batch_frames=64)
     ckpt, history = train(cfg, tiny_corpus)
     assert len(history) == 1
-    assert param_count(ckpt.network) > 0
+    assert ckpt.network.params.size > 0
     mix = load_clip_mixture(tiny_corpus.test_clips[0])
     est_v, est_m = separate(ckpt, mix)
     rel = np.max(np.abs(est_v.samples + est_m.samples - mix.samples))
@@ -288,8 +285,8 @@ def test_checkpoint_roundtrip_preserves_behavior(tiny_corpus, tmp_path):
     assert np.array_equal(ckpt.network.params, back.network.params)
     rng = np.random.default_rng(0)
     x = np.stack([rng.uniform(0, 1, (N_BINS, 5)) for _ in range(3)])
-    ya, _ = vp_forward(ckpt.network, x)
-    yb, _ = vp_forward(back.network, x)
+    ya, _ = forward(ckpt.network, x)
+    yb, _ = forward(back.network, x)
     for pa, pb in zip(ya, yb):
         assert np.array_equal(pa, pb)
 
@@ -322,7 +319,7 @@ V1_GOLDEN = {
 @pytest.mark.parametrize("model", sorted(V1_GOLDEN))
 def test_checkpoint_v1_golden_bytes(model, tmp_path):
     kind, sizes, width, layers, transform, digest = V1_GOLDEN[model]
-    net = init_vp_network(sizes, seed=0) if kind == "vp" else init_real_network(sizes, seed=0)
+    net = init_network(kind, sizes, seed=0)
     ckpt = ModelCheckpoint(model=model, color_n=0.0938, network=net)
     path = tmp_path / "golden.ckpt"
     checkpoint_save(path, ckpt)
@@ -403,6 +400,8 @@ def test_checkpoint_detects_corruption(tmp_path):
     ({"epochs_trained": 2.0}, "epochs_trained contradict"),
     ({"final_j": "abc"}, "final_j must be a number"),
     ({"final_j": [1, 2]}, "final_j must be a number"),
+    ({"color_n": 0.7}, r"color_n must lie in \(0, 0.5\), got 0.7"),
+    ({"color_n": "abc"}, "color_n must be a number"),
 ])
 def test_checkpoint_rejects_metadata_contradicting_model(changes, match, tmp_path):
     ckpt = fresh_ckpt(model="CVPNN", width=8, layers=1)
@@ -430,6 +429,19 @@ def test_model_checkpoint_rejects_contradicting_fields(model, kind, transform,
         ModelCheckpoint(model=model, color_n=0.0938, network=net)
 
 
+@pytest.mark.parametrize("color_n", [0.0, 0.5, 0.7, float("nan")])
+def test_model_checkpoint_rejects_color_n_outside_ramp(color_n):
+    net = init_network("vp", [N_BINS, 8, 2 * N_BINS], seed=0)
+    with pytest.raises(CheckpointError, match=r"color_n must lie in \(0, 0.5\)"):
+        ModelCheckpoint("CVPNN", color_n, net)
+
+
+def test_model_checkpoint_reports_non_numeric_color_n():
+    net = init_network("vp", [N_BINS, 8, 2 * N_BINS], seed=0)
+    with pytest.raises(CheckpointError, match="color_n must be a number"):
+        ModelCheckpoint("CVPNN", "abc", net)
+
+
 def test_checkpoint_save_failure_keeps_target(tmp_path, monkeypatch):
     import os
 
@@ -454,7 +466,7 @@ def test_checkpoint_summary_lines(tmp_path):
     text = checkpoint_summary(ckpt)
     assert "model: CVPNN" in text
     assert "arch: 8x1" in text
-    assert f"parameters: {param_count(ckpt.network)}" in text
+    assert f"parameters: {ckpt.network.params.size}" in text
     assert "final_j: none" in text
 
 
