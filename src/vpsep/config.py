@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .transform import check_color_n
 
 # model -> (network kind, default hidden width, input transform, context)
@@ -42,16 +42,10 @@ class ExperimentConfig:
             )
         if self.hidden_width is None:
             self.hidden_width = MODEL_SPECS[self.model]["width"]
-        if self.hidden_width < 1 or self.hidden_layers < 1:
-            raise ConfigError("hidden_width and hidden_layers must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs cannot be negative")
-        if self.batch_frames < 1:
-            raise ConfigError("batch_frames must be >= 1")
-        if self.filter_len < 1:
-            raise ConfigError("filter_len must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        for name, low in (("hidden_width", 1), ("hidden_layers", 1),
+                          ("batch_frames", 1), ("epochs", 0), ("seed", 0),
+                          ("filter_len", 1), ("workers", 1)):
+            check_int(name, getattr(self, name), low, ConfigError)
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         check_color_n(self.color_n, ConfigError)

@@ -28,7 +28,7 @@ from .audio import (
     _atomic_write,
 )
 from .config import ExperimentConfig
-from .errors import DatasetError
+from .errors import DatasetError, check_int
 from .transform import (
     ColorParams,
     color_encode,
@@ -181,6 +181,7 @@ def synth_dataset(root, seed: int = 0, n_train: int = 6, n_test: int = 4,
     root = Path(root)
     if n_train < 1 or n_test < 0:
         raise DatasetError("need at least one training clip")
+    check_int("seed", seed, 0, DatasetError)
     if not 0.2 < duration_s < math.inf:
         raise DatasetError(f"duration_s must be finite and above 0.2, got {duration_s}")
     rate = TARGET_RATE

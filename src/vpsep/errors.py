@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and an integer check."""
+
+from numbers import Integral
 
 
 class VpsepError(Exception):
@@ -31,3 +33,9 @@ class DatasetError(VpsepError):
 
 class TrainingDivergedError(VpsepError):
     """Training objective became non-finite."""
+
+
+def check_int(name: str, value, low: int, error=VpsepError) -> None:
+    """Raise ``error`` unless ``value`` is an integer (not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")

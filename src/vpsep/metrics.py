@@ -4,7 +4,7 @@ An estimate is decomposed by least squares into a filtered image of its
 true source, interference from the other references, and a residual
 artifact term.  Projections go onto spans of time-delayed reference
 copies (``filter_len`` taps), solved through normal equations whose
-Gram matrix is assembled from FFT cross-correlations.
+Gram matrix is assembled once from FFT cross-correlations.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from scipy import linalg as sla
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from .errors import ShapeMismatchError, VpsepError
+from .errors import ShapeMismatchError, VpsepError, check_int
 
 DB_CAP = 100.0
 ENERGY_FLOOR = 1e-20
@@ -52,56 +52,54 @@ def _as_signal(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeMismatchError("signals must be 1-D")
+    if not np.all(np.isfinite(x)):
+        raise VpsepError("signals must be finite")
     return x
 
 
-def _delay_span_solve(est: np.ndarray, refs: np.ndarray, flen: int) -> np.ndarray:
-    """Least-squares filter taps projecting ``est`` onto delayed refs.
-
-    Returns coefficients shaped (n_refs, flen).  Normal equations with a
-    relative diagonal jitter, Cholesky-solved; falls back to lstsq when
-    the Gram matrix is numerically singular anyway.
-    """
+def _normal_equations(est: np.ndarray, refs: np.ndarray, flen: int):
+    """Normal equations projecting ``est`` onto every reference delayed by
+    0..flen-1 samples: the Gram matrix indexed (ref, delay, ref, delay) and
+    the right-hand side (ref, delay), from FFT cross-correlations."""
     nsrc, n = refs.shape
     nfft = next_fast_len(n + flen - 1)
     rf = np.fft.rfft(refs, nfft, axis=1)
-    ef = np.fft.rfft(est, nfft)
-
-    gram = np.empty((nsrc * flen, nsrc * flen))
+    gram = np.empty((nsrc, flen, nsrc, flen))
     for i in range(nsrc):
         for j in range(i + 1):
             c = np.fft.irfft(rf[i] * np.conj(rf[j]), nfft)
-            # <ref_i delayed a, ref_j delayed b> = c[(b - a) mod nfft]
-            col = np.concatenate(([c[0]], c[nfft - flen + 1 :][::-1]))
-            row = c[:flen]
-            block = sla.toeplitz(col, row)
-            gram[i * flen : (i + 1) * flen, j * flen : (j + 1) * flen] = block
-            gram[j * flen : (j + 1) * flen, i * flen : (i + 1) * flen] = block.T
-    rhs = np.empty(nsrc * flen)
-    for i in range(nsrc):
-        c = np.fft.irfft(ef * np.conj(rf[i]), nfft)
-        rhs[i * flen : (i + 1) * flen] = c[:flen]
+            # <ref_i delayed a, ref_j delayed b> = c[b - a], wrapping negative lags
+            gram[i, :, j] = sla.toeplitz(c[-np.arange(flen)], c[:flen])
+            gram[j, :, i] = gram[i, :, j].T
+    ef = np.fft.rfft(est, nfft)
+    # one irfft per reference: a single batched irfft rounds differently
+    rhs = np.stack([np.fft.irfft(ef * np.conj(r), nfft)[:flen] for r in rf])
+    return gram, rhs
 
-    diag_scale = max(np.mean(np.diag(gram)), 1.0)
-    gram[np.diag_indices_from(gram)] += GRAM_JITTER * diag_scale
+
+def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Taps shaped like ``rhs`` for the normal equations, solved in place:
+    a diagonal jitter relative to this Gram matrix's own mean diagonal,
+    then Cholesky, or lstsq when it is numerically singular anyway."""
+    gram = gram.reshape(rhs.size, rhs.size)
+    gram[np.diag_indices_from(gram)] += GRAM_JITTER * max(np.mean(np.diag(gram)), 1.0)
     try:
-        coefs = sla.cho_solve(sla.cho_factor(gram), rhs)
+        taps = sla.cho_solve(sla.cho_factor(gram), rhs.ravel())
     except np.linalg.LinAlgError:
-        coefs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    return coefs.reshape(nsrc, flen)
+        taps, *_ = np.linalg.lstsq(gram, rhs.ravel(), rcond=None)
+    return taps.reshape(rhs.shape)
 
 
-def _project(est: np.ndarray, refs: np.ndarray, flen: int) -> np.ndarray:
-    """Projection of ``est`` onto the refs' delayed span, evaluated on the
+def _project(refs: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The refs filtered by their rows of taps and summed, on the
     zero-padded support of length n + flen - 1."""
-    coefs = _delay_span_solve(est, refs, flen)
-    n = refs.shape[1]
+    n, flen = refs.shape[1], taps.shape[1]
     out = np.zeros(n + flen - 1)
-    for i in range(refs.shape[0]):
+    for ref, h in zip(refs, taps):
         if flen == 1:
-            out[:n] += coefs[i, 0] * refs[i]
+            out[:n] += h[0] * ref
         else:
-            out += fftconvolve(refs[i], coefs[i])
+            out += fftconvolve(ref, h)
     return out
 
 
@@ -113,28 +111,28 @@ def bss_decompose(
     ``s_target`` is the projection onto the true source's delayed span,
     ``e_interf`` the extra part explained by all references jointly, and
     ``e_artif`` whatever remains; the three sum to the (zero-padded)
-    estimate by construction.
+    estimate by construction.  The target system is a copy of the
+    target's diagonal block of the joint one, jittered on its own.
     """
     est = _as_signal(est)
-    refs = np.stack([_as_signal(r) for r in refs])
-    if refs.shape[1] != len(est):
-        raise ShapeMismatchError(
-            f"estimate length {len(est)} != reference length {refs.shape[1]}"
-        )
-    if not 0 <= target_index < refs.shape[0]:
-        raise VpsepError(f"no reference {target_index} among {refs.shape[0]}")
-    if filter_len < 1:
-        raise VpsepError("filter_len must be >= 1")
+    refs = [_as_signal(r) for r in refs]
+    check_int("target_index", target_index, 0)
+    check_int("filter_len", filter_len, 1)
+    if target_index >= len(refs):
+        raise VpsepError(f"no reference {target_index} among {len(refs)}")
+    if any(len(r) != len(est) for r in refs):
+        raise ShapeMismatchError(f"lengths {[len(r) for r in refs]} != {len(est)}")
+    refs = np.stack(refs)
     for k, r in enumerate(refs):
         if not np.any(r):
             raise VpsepError(f"reference {k} is identically zero")
 
+    gram, rhs = _normal_equations(est, refs, filter_len)
+    t = slice(target_index, target_index + 1)
+    s_target = _project(refs[t], _solve(gram[t, :, t].copy(), rhs[t]))
+    p_all = _project(refs, _solve(gram, rhs)) if len(refs) > 1 else s_target
     est_pad = np.concatenate([est, np.zeros(filter_len - 1)])
-    s_target = _project(est, refs[target_index : target_index + 1], filter_len)
-    p_all = _project(est, refs, filter_len) if refs.shape[0] > 1 else s_target
-    e_interf = p_all - s_target
-    e_artif = est_pad - p_all
-    return Decomposition(s_target, e_interf, e_artif)
+    return Decomposition(s_target, p_all - s_target, est_pad - p_all)
 
 
 def _ratio_db(num: float, den: float) -> float:

@@ -185,22 +185,31 @@ def train(config: ExperimentConfig, manifest: DatasetManifest,
 # --- separation -------------------------------------------------------------
 
 
-def _pad_waveform(w: Waveform) -> tuple[Waveform, int]:
+def _pad_waveform(w: Waveform) -> Waveform:
     """Zero-pad by one whole window on each side (plus tail alignment).
 
     The pad is a hop multiple, so analysis frames stay on the same sample
     grid, every real sample lands in the exactly-invertible interior of
     the overlap-add, and masked edge leakage falls in the discarded pad.
     """
-    n = len(w)
-    tail = -(n + WINDOW_LEN) % HOP
+    tail = -(len(w) + WINDOW_LEN) % HOP
     x = np.concatenate([np.zeros(WINDOW_LEN), w.samples,
                         np.zeros(WINDOW_LEN + tail)])
-    return Waveform(x, w.sample_rate), WINDOW_LEN
+    return Waveform(x, w.sample_rate)
 
 
 def _cut(w: Waveform, offset: int, n: int) -> Waveform:
     return Waveform(w.samples[offset:offset + n], w.sample_rate)
+
+
+def _masked_split(w: Waveform, masks_of) -> tuple[Waveform, Waveform]:
+    """Both estimates of a 16 kHz mixture, masked on its padded spectrogram
+    by the ``MaskPair`` ``masks_of(spec)`` and cut to the mixture's length."""
+    # held to the end: freeing it early raises glibc's mmap threshold, +29 MiB peak RSS
+    padded = _pad_waveform(w)
+    spec = stft(padded)
+    est_v, est_m = apply_mask_and_reconstruct(spec, masks_of(spec))
+    return _cut(est_v, WINDOW_LEN, len(w)), _cut(est_m, WINDOW_LEN, len(w))
 
 
 def separate(ckpt: ModelCheckpoint, mix: Waveform) -> tuple[Waveform, Waveform]:
@@ -208,20 +217,15 @@ def separate(ckpt: ModelCheckpoint, mix: Waveform) -> tuple[Waveform, Waveform]:
 
     The input is resampled to the working rate; the estimates have exactly
     the resampled length and sum to the resampled mixture."""
-    w = resample_to_16k(mix)
-    n = len(w)
-    padded, offset = _pad_waveform(w)
-    spec = stft(padded)
-    norm = normalize(spec.magnitude())
-    forward, _ = _engine(ckpt.kind)
-    # keep only the output: holding the activations through decoding and
-    # reconstruction would add several hundred MB for a long input
-    y = forward(ckpt.network, _encode_input(ckpt, norm))[0]
-    mags = _decode_output(ckpt, y, norm.scale)
-    mag_v, mag_m = mags[:N_BINS], mags[N_BINS:]
-    masks = soft_mask(mag_v, mag_m)
-    est_v, est_m = apply_mask_and_reconstruct(spec, masks)
-    return _cut(est_v, offset, n), _cut(est_m, offset, n)
+    def masks_of(spec):
+        norm = normalize(spec.magnitude())
+        forward, _ = _engine(ckpt.kind)
+        # keep only the output: holding the activations through decoding and
+        # reconstruction would add several hundred MB for a long input
+        y = forward(ckpt.network, _encode_input(ckpt, norm))[0]
+        mags = _decode_output(ckpt, y, norm.scale)
+        return soft_mask(mags[:N_BINS], mags[N_BINS:])
+    return _masked_split(resample_to_16k(mix), masks_of)
 
 
 def separate_ideal(mix: Waveform, vocal: Waveform, music: Waveform,
@@ -229,21 +233,15 @@ def separate_ideal(mix: Waveform, vocal: Waveform, music: Waveform,
     """Oracle separation from the true stem magnitudes (mask upper bound)."""
     if kind not in ("soft", "binary"):
         raise VpsepError(f"ideal mask kind must be soft or binary, got {kind!r}")
-    w = resample_to_16k(mix)
-    v = resample_to_16k(vocal)
-    m = resample_to_16k(music)
+    w, v, m = (resample_to_16k(x) for x in (mix, vocal, music))
     n = min(len(w), len(v), len(m))
-    padded, offset = _pad_waveform(_cut(w, 0, n))
-    spec = stft(padded)
-    mag_v = stft(_pad_waveform(_cut(v, 0, n))[0]).magnitude()
-    mag_m = stft(_pad_waveform(_cut(m, 0, n))[0]).magnitude()
+    mag_v, mag_m = (stft(_pad_waveform(_cut(x, 0, n))).magnitude() for x in (v, m))
     if kind == "binary":
         m1 = (mag_v >= mag_m).astype(np.float64)
         masks = MaskPair(m1, 1.0 - m1)
     else:
         masks = soft_mask(mag_v, mag_m)
-    est_v, est_m = apply_mask_and_reconstruct(spec, masks)
-    return _cut(est_v, offset, n), _cut(est_m, offset, n)
+    return _masked_split(_cut(w, 0, n), lambda spec: masks)
 
 
 # --- evaluation -------------------------------------------------------------

@@ -2,16 +2,21 @@
 
 Trains CVPNN, WVPNN, DNN1 and DNN3 at 64x2 for 2 epochs with seed 0 on
 ``synth_dataset(seed=0)`` and prints, per model, the J history as
-``float.hex`` and the sha256 of the saved checkpoint.  Run it once per
-version and compare the outputs::
+``float.hex`` and the sha256 of the saved checkpoint.  For the trained
+CVPNN and DNN1 and for the soft and binary ideal masks it also prints
+every test clip's SDR, SIR, SAR and mixture SDR as ``float.hex`` at
+``filter_len`` 512 and 32, and the sha256 of the vocal and music stems
+that ``separate``/``separate_ideal`` give for the first test clip.  Run
+it once per version and compare the outputs::
 
     PYTHONPATH=old/src python tests/parity.py > old.txt
     PYTHONPATH=new/src python tests/parity.py > new.txt
     diff old.txt new.txt
 
-Identical output means bit-identical training and checkpoint bytes.  It
-uses only API that has been stable across versions, and pytest does not
-collect it (the name does not start with ``test_``).
+Identical output means bit-identical training, checkpoint bytes,
+separations and evaluation metrics.  It uses only API that has been
+stable across versions, and pytest does not collect it (the name does
+not start with ``test_``).
 """
 
 import hashlib
@@ -20,15 +25,34 @@ import tempfile
 from pathlib import Path
 
 import vpsep
-from vpsep import ExperimentConfig, checkpoint_save, synth_dataset, train
+from vpsep import (ExperimentConfig, checkpoint_save, evaluate, evaluate_ideal,
+                   separate, separate_ideal, synth_dataset, train, wav_read)
 
 MODELS = ("CVPNN", "WVPNN", "DNN1", "DNN3")
+EVALUATED = ("CVPNN", "DNN1")
+FILTER_LENS = (512, 32)
+IDEAL_KINDS = ("soft", "binary")
+
+
+def print_evaluation(label: str, report) -> None:
+    for c in report.clips:
+        values = " ".join(x.hex() for x in (c.sdr, c.sir, c.sar, c.mix_sdr))
+        print(f"{label} {c.clip_id} {c.source} {values}")
+
+
+def print_stems(label: str, stems) -> None:
+    digest = hashlib.sha256()
+    for stem in stems:
+        digest.update(stem.samples.tobytes())
+    print(f"{label} stems sha256 {digest.hexdigest()}")
 
 
 def main() -> int:
     print(f"vpsep imported from {vpsep.__file__}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         manifest = synth_dataset(Path(tmp) / "corpus", seed=0)
+        clip = manifest.test_clips[0]
+        mix = wav_read(clip.mix_path)
         for model in MODELS:
             config = ExperimentConfig(model=model, hidden_width=64,
                                       hidden_layers=2, epochs=2, seed=0)
@@ -38,6 +62,18 @@ def main() -> int:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{model} J {' '.join(j.hex() for j in history)}")
             print(f"{model} sha256 {digest}")
+            if model in EVALUATED:
+                print_stems(f"{model} {clip.clip_id}", separate(ckpt, mix))
+                for flen in FILTER_LENS:
+                    print_evaluation(f"{model} filter_len={flen}",
+                                     evaluate(ckpt, manifest, filter_len=flen))
+        for kind in IDEAL_KINDS:
+            stems = separate_ideal(mix, wav_read(clip.vocal_path),
+                                   wav_read(clip.music_path), kind=kind)
+            print_stems(f"IDEAL-{kind} {clip.clip_id}", stems)
+            for flen in FILTER_LENS:
+                print_evaluation(f"IDEAL-{kind} filter_len={flen}",
+                                 evaluate_ideal(manifest, kind=kind, filter_len=flen))
     return 0
 
 

@@ -65,6 +65,24 @@ def test_train_validates_config_before_touching_data(tmp_path, capsys):
     assert not (tmp_path / "x.ckpt").exists()
 
 
+def test_train_rejects_negative_seed(cli_env, tmp_path, capsys):
+    code, out, err = run(capsys, "train", "--data", str(cli_env["data"]),
+                         "--out", str(tmp_path / "x.ckpt"), "--seed", "-1",
+                         "--hidden-width", "8", "--hidden-layers", "1",
+                         "--epochs", "1")
+    assert code == 1
+    assert err.startswith("error: seed must be an integer >= 0")
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_synth_rejects_negative_seed(tmp_path, capsys):
+    code, out, err = run(capsys, "synth", "--out", str(tmp_path / "c"),
+                         "--seed", "-1", "--duration", "0.5")
+    assert code == 1
+    assert err.startswith("error: seed must be an integer >= 0")
+    assert not (tmp_path / "c" / "manifest.tsv").exists()
+
+
 def test_train_rejects_unknown_model_via_argparse(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["train", "--data", str(tmp_path), "--out", "x.ckpt",

@@ -89,6 +89,16 @@ def test_bounds_validation():
         ExperimentConfig(filter_len=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(workers=0)
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+        ExperimentConfig(seed=-1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, True])
+@pytest.mark.parametrize("field", ["hidden_width", "hidden_layers", "batch_frames",
+                                   "epochs", "seed", "filter_len", "workers"])
+def test_rejects_non_integer_counts(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        ExperimentConfig(**{field: value})
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf")])

@@ -71,6 +71,13 @@ def test_synth_rejects_bad_parameters(tmp_path):
         synth_dataset(tmp_path / "y", duration_s=0.05)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), True])
+def test_synth_rejects_bad_seed(seed, tmp_path):
+    with pytest.raises(DatasetError, match="seed must be an integer >= 0"):
+        synth_dataset(tmp_path / "x", seed=seed, n_train=1, n_test=0, duration_s=0.5)
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
 def test_synth_rejects_non_finite_duration(duration, tmp_path):
     with pytest.raises(DatasetError, match="duration_s"):

@@ -11,7 +11,7 @@ from vpsep import (
     sdr_sir_sar,
 )
 from vpsep.errors import ShapeMismatchError, VpsepError
-from vpsep.metrics import _delay_span_solve, _ratio_db
+from vpsep.metrics import _ratio_db
 
 
 def two_tones(n=4000, rate=16000):
@@ -106,8 +106,21 @@ def test_delay_span_taps_match_direct_least_squares():
             a[d:d + n, i * flen + d] = refs[i]
     want, *_ = np.linalg.lstsq(a, np.concatenate([est, np.zeros(flen - 1)]),
                                rcond=None)
-    got = _delay_span_solve(est, refs, flen).ravel()
-    assert np.max(np.abs(got - want)) < 1e-6
+    d = bss_decompose(est, refs, 0, filter_len=flen)
+    assert np.max(np.abs(d.s_target + d.e_interf - a @ want)) < 1e-6
+
+
+@pytest.mark.parametrize("flen", [1, 16])
+@pytest.mark.parametrize("t", [0, 1])
+def test_target_projection_ignores_the_other_references(t, flen):
+    # the target system is the target's block of the joint one, jittered
+    # by its own mean diagonal: exactly the system for that reference alone
+    rng = np.random.default_rng(8)
+    refs = rng.standard_normal((2, 1200))
+    est = 0.6 * refs[0] + 0.4 * refs[1] + 0.1 * rng.standard_normal(1200)
+    joint = bss_decompose(est, refs, t, filter_len=flen)
+    alone = bss_decompose(est, refs[t:t + 1], 0, filter_len=flen)
+    assert np.array_equal(joint.s_target, alone.s_target)
 
 
 def test_delayed_estimate_still_scores_as_target():
@@ -152,6 +165,17 @@ def test_bss_decompose_validation():
         bss_decompose(s, [s, np.zeros(100)], 0, filter_len=4)
     with pytest.raises(ShapeMismatchError):
         bss_decompose(np.ones((2, 50)), [s], 0)
+    with pytest.raises(ShapeMismatchError, match="lengths"):
+        bss_decompose(s, [s, np.ones(50)], 0, filter_len=4)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(VpsepError, match="finite"):
+            bss_decompose(np.where(np.arange(100) == 7, bad, s), [s], 0, filter_len=4)
+        with pytest.raises(VpsepError, match="finite"):
+            bss_decompose(s, [s, np.where(np.arange(100) == 7, bad, s)], 0, filter_len=4)
+    for name, value in (("filter_len", 4.0), ("filter_len", True),
+                        ("target_index", 1.0), ("target_index", "0")):
+        with pytest.raises(VpsepError, match=f"{name} must be an integer"):
+            bss_decompose(s, [s, -s], **{name: value})
 
 
 def test_aggregate_global_simple_mean():
