@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal
 from scipy.io import wavfile
 
@@ -140,9 +141,8 @@ def stft(w: Waveform) -> ComplexSpectrogram:
     if w.sample_rate != TARGET_RATE:
         raise AudioError(f"stft expects {TARGET_RATE} Hz input, got {w.sample_rate}")
     x = w.samples
-    t = n_frames_for(len(x))
-    idx = np.arange(WINDOW_LEN)[None, :] + HOP * np.arange(t)[:, None]
-    frames = x[idx] * _WINDOW
+    n_frames_for(len(x))  # a signal shorter than one window raises
+    frames = sliding_window_view(x, WINDOW_LEN)[::HOP] * _WINDOW
     bins = np.fft.rfft(frames, axis=1).T
     return ComplexSpectrogram(bins, original_len=len(x))
 

@@ -179,8 +179,8 @@ def synth_dataset(root, seed: int = 0, n_train: int = 6, n_test: int = 4,
     'music' clips. Deterministic for a given seed; stems are faded to zero at
     the edges and scaled so the mixture stays inside (-1, 1)."""
     root = Path(root)
-    if n_train < 1 or n_test < 0:
-        raise DatasetError("need at least one training clip")
+    check_int("n_train", n_train, 1, DatasetError)
+    check_int("n_test", n_test, 0, DatasetError)
     check_int("seed", seed, 0, DatasetError)
     if not 0.2 < duration_s < math.inf:
         raise DatasetError(f"duration_s must be finite and above 0.2, got {duration_s}")

@@ -3,8 +3,8 @@
 An estimate is decomposed by least squares into a filtered image of its
 true source, interference from the other references, and a residual
 artifact term.  Projections go onto spans of time-delayed reference
-copies (``filter_len`` taps), solved through normal equations whose
-Gram matrix is assembled once from FFT cross-correlations.
+copies (``filter_len`` taps); one set of reference spectra gives the
+normal equations' Gram matrix and right-hand side and both projections.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 from scipy.fft import next_fast_len
-from scipy.signal import fftconvolve
 
 from .errors import ShapeMismatchError, VpsepError, check_int
 
@@ -57,21 +56,17 @@ def _as_signal(x) -> np.ndarray:
     return x
 
 
-def _normal_equations(est: np.ndarray, refs: np.ndarray, flen: int):
-    """Normal equations projecting ``est`` onto every reference delayed by
-    0..flen-1 samples: the Gram matrix indexed (ref, delay, ref, delay) and
-    the right-hand side (ref, delay), from FFT cross-correlations."""
-    nsrc, n = refs.shape
-    nfft = next_fast_len(n + flen - 1)
-    rf = np.fft.rfft(refs, nfft, axis=1)
-    gram = np.empty((nsrc, flen, nsrc, flen))
-    for i in range(nsrc):
+def _normal_equations(rf: np.ndarray, ef: np.ndarray, nfft: int, flen: int):
+    """Normal equations projecting the estimate (spectrum ``ef``) onto each
+    reference (spectra ``rf``) delayed by 0..flen-1 samples: the Gram matrix
+    indexed (ref, delay, ref, delay) and the right-hand side (ref, delay)."""
+    gram = np.empty((len(rf), flen, len(rf), flen))
+    for i in range(len(rf)):
         for j in range(i + 1):
             c = np.fft.irfft(rf[i] * np.conj(rf[j]), nfft)
             # <ref_i delayed a, ref_j delayed b> = c[b - a], wrapping negative lags
             gram[i, :, j] = sla.toeplitz(c[-np.arange(flen)], c[:flen])
             gram[j, :, i] = gram[i, :, j].T
-    ef = np.fft.rfft(est, nfft)
     # one irfft per reference: a single batched irfft rounds differently
     rhs = np.stack([np.fft.irfft(ef * np.conj(r), nfft)[:flen] for r in rf])
     return gram, rhs
@@ -90,17 +85,12 @@ def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return taps.reshape(rhs.shape)
 
 
-def _project(refs: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """The refs filtered by their rows of taps and summed, on the
-    zero-padded support of length n + flen - 1."""
-    n, flen = refs.shape[1], taps.shape[1]
-    out = np.zeros(n + flen - 1)
-    for ref, h in zip(refs, taps):
-        if flen == 1:
-            out[:n] += h[0] * ref
-        else:
-            out += fftconvolve(ref, h)
-    return out
+def _project(rf: np.ndarray, taps: np.ndarray, nfft: int, size: int) -> np.ndarray:
+    """The references (spectra ``rf``) filtered by their rows of taps and
+    summed: one product of spectra per reference, one inverse transform,
+    cut to the linear-convolution support of ``size`` samples."""
+    spec = sum(r * np.fft.rfft(h, nfft) for r, h in zip(rf, taps))
+    return np.fft.irfft(spec, nfft)[:size]
 
 
 def bss_decompose(
@@ -127,10 +117,13 @@ def bss_decompose(
         if not np.any(r):
             raise VpsepError(f"reference {k} is identically zero")
 
-    gram, rhs = _normal_equations(est, refs, filter_len)
+    size = len(est) + filter_len - 1
+    nfft = next_fast_len(size)
+    rf = np.fft.rfft(refs, nfft, axis=1)
+    gram, rhs = _normal_equations(rf, np.fft.rfft(est, nfft), nfft, filter_len)
     t = slice(target_index, target_index + 1)
-    s_target = _project(refs[t], _solve(gram[t, :, t].copy(), rhs[t]))
-    p_all = _project(refs, _solve(gram, rhs)) if len(refs) > 1 else s_target
+    s_target = _project(rf[t], _solve(gram[t, :, t].copy(), rhs[t]), nfft, size)
+    p_all = _project(rf, _solve(gram, rhs), nfft, size) if len(refs) > 1 else s_target
     est_pad = np.concatenate([est, np.zeros(filter_len - 1)])
     return Decomposition(s_target, p_all - s_target, est_pad - p_all)
 

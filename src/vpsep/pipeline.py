@@ -40,6 +40,7 @@ from .errors import (
     ShapeMismatchError,
     TrainingDivergedError,
     VpsepError,
+    check_int,
 )
 from .metrics import GlobalMetrics, aggregate_global, bss_decompose, sdr_only, sdr_sir_sar
 from .network import (Network, init_network, loss_j, real_backward, real_forward,
@@ -58,7 +59,7 @@ from .transform import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelCheckpoint:
     """A trained (or freshly initialized) model; its input transform and
     architecture follow from the model and the network's layer sizes."""
@@ -74,6 +75,10 @@ class ModelCheckpoint:
         if self.kind != MODEL_SPECS[self.model]["kind"]:
             raise CheckpointError(f"kind {self.kind!r} contradicts model {self.model}")
         check_color_n(_number("color_n", self.color_n, float), CheckpointError)
+        check_int("epochs_trained", self.epochs_trained, 0, CheckpointError)
+        if self.final_j is not None and not np.isfinite(
+                _number("final_j", self.final_j, float)):
+            raise CheckpointError(f"final_j must be finite, got {self.final_j!r}")
 
     @property
     def kind(self) -> str:
@@ -319,6 +324,8 @@ def _clip_rows(entry: ClipEntry, estimate_fn, filter_len: int) -> list[ClipEval]
 
 def _run_eval(clips, estimate_fn, filter_len: int, workers: int,
               model: str, arch: str, context: int) -> EvalReport:
+    check_int("workers", workers, 1)
+    check_int("filter_len", filter_len, 1)
     if not clips:
         raise DatasetError("no clips to evaluate in the requested split")
     if workers > 1:
@@ -391,10 +398,9 @@ def _header(ckpt: ModelCheckpoint) -> dict:
         "hidden_layers": len(sizes) - 2,
         "sizes": sizes,
         "transform": ckpt.transform,
-        "color_n": _number("color_n", ckpt.color_n, float),
-        "epochs_trained": _number("epochs_trained", ckpt.epochs_trained, int),
-        "final_j": (None if ckpt.final_j is None
-                    else _number("final_j", ckpt.final_j, float)),
+        "color_n": float(ckpt.color_n),
+        "epochs_trained": int(ckpt.epochs_trained),
+        "final_j": None if ckpt.final_j is None else float(ckpt.final_j),
         "normalization": "per-clip-mixture-max",
         "sample_rate": TARGET_RATE,
         "window_len": WINDOW_LEN,

@@ -11,27 +11,30 @@ it once per version and compare the outputs::
 
     PYTHONPATH=old/src python tests/parity.py > old.txt
     PYTHONPATH=new/src python tests/parity.py > new.txt
-    diff old.txt new.txt
+    python tests/parity.py --compare old.txt new.txt
 
-Identical output means bit-identical training, checkpoint bytes,
+``--compare`` requires the J, sha256 and stem lines to match exactly.
+For the per-clip metrics it prints the largest |difference| in dB per
+label and metric, and it exits 1 if any exceeds 1e-9 dB.  Identical
+output (``diff``) means bit-identical training, checkpoint bytes,
 separations and evaluation metrics.  It uses only API that has been
 stable across versions, and pytest does not collect it (the name does
 not start with ``test_``).
 """
 
+import difflib
 import hashlib
+import math
 import sys
 import tempfile
 from pathlib import Path
-
-import vpsep
-from vpsep import (ExperimentConfig, checkpoint_save, evaluate, evaluate_ideal,
-                   separate, separate_ideal, synth_dataset, train, wav_read)
 
 MODELS = ("CVPNN", "WVPNN", "DNN1", "DNN3")
 EVALUATED = ("CVPNN", "DNN1")
 FILTER_LENS = (512, 32)
 IDEAL_KINDS = ("soft", "binary")
+METRICS = ("SDR", "SIR", "SAR", "mix-SDR")
+TOLERANCE_DB = 1e-9
 
 
 def print_evaluation(label: str, report) -> None:
@@ -47,7 +50,48 @@ def print_stems(label: str, stems) -> None:
     print(f"{label} stems sha256 {digest.hexdigest()}")
 
 
-def main() -> int:
+def read_output(path):
+    """The lines that must match exactly, and the per-clip metric values
+    keyed by (model, filter_len, clip, source)."""
+    exact, metrics = [], {}
+    for line in Path(path).read_text().splitlines():
+        words = line.split()
+        if len(words) == 8 and words[1].startswith("filter_len="):
+            metrics[tuple(words[:4])] = [float.fromhex(w) for w in words[4:]]
+        else:
+            exact.append(line)
+    return exact, metrics
+
+
+def compare(old_path, new_path) -> int:
+    old_exact, old_metrics = read_output(old_path)
+    new_exact, new_metrics = read_output(new_path)
+    ok = old_exact == new_exact
+    for line in difflib.unified_diff(old_exact, new_exact, str(old_path),
+                                     str(new_path), lineterm=""):
+        print(line)
+    if old_metrics.keys() != new_metrics.keys():
+        ok = False
+        print("the two outputs score different clips")
+    worst = {}
+    for key in sorted(old_metrics.keys() & new_metrics.keys()):
+        row = worst.setdefault(" ".join(key[:2]), [0.0] * len(METRICS))
+        for k, (a, b) in enumerate(zip(old_metrics[key], new_metrics[key])):
+            d = 0.0 if a == b else abs(a - b)
+            row[k] = max(row[k], math.inf if math.isnan(d) else d)
+    print("max |delta| dB".ljust(28) + "".join(m.rjust(10) for m in METRICS))
+    for label, row in worst.items():
+        print(label.ljust(28) + "".join(f"{d:10.2e}" for d in row))
+    ok = ok and all(d <= TOLERANCE_DB for row in worst.values() for d in row)
+    print("PASS" if ok else f"FAIL: see the diff above or a metric over {TOLERANCE_DB:g} dB")
+    return 0 if ok else 1
+
+
+def run() -> int:
+    import vpsep
+    from vpsep import (ExperimentConfig, checkpoint_save, evaluate, evaluate_ideal,
+                       separate, separate_ideal, synth_dataset, train, wav_read)
+
     print(f"vpsep imported from {vpsep.__file__}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         manifest = synth_dataset(Path(tmp) / "corpus", seed=0)
@@ -77,5 +121,14 @@ def main() -> int:
     return 0
 
 
+def main(argv) -> int:
+    if not argv:
+        return run()
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
+    print("usage: parity.py [--compare OLD NEW]", file=sys.stderr)
+    return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

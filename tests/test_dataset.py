@@ -71,6 +71,20 @@ def test_synth_rejects_bad_parameters(tmp_path):
         synth_dataset(tmp_path / "y", duration_s=0.05)
 
 
+@pytest.mark.parametrize("counts, match", [
+    ({"n_train": 0}, "n_train must be an integer >= 1, got 0"),
+    ({"n_train": 1.5}, "n_train must be an integer >= 1, got 1.5"),
+    ({"n_train": True}, "n_train must be an integer >= 1, got True"),
+    ({"n_test": -1}, "n_test must be an integer >= 0, got -1"),
+    ({"n_test": 0.5}, "n_test must be an integer >= 0, got 0.5"),
+])
+def test_synth_rejects_bad_counts(counts, match, tmp_path):
+    with pytest.raises(DatasetError, match=match):
+        synth_dataset(tmp_path / "x", **{"n_train": 1, "n_test": 0, **counts},
+                      duration_s=0.5)
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), True])
 def test_synth_rejects_bad_seed(seed, tmp_path):
     with pytest.raises(DatasetError, match="seed must be an integer >= 0"):

@@ -94,9 +94,10 @@ def test_sdr_bounded_by_sir_and_sar():
         assert r.sdr <= min(r.sir, r.sar) + 3.02
 
 
-def test_delay_span_taps_match_direct_least_squares():
+@pytest.mark.parametrize("flen", [1, 6])
+def test_delay_span_taps_match_direct_least_squares(flen):
     rng = np.random.default_rng(5)
-    n, flen = 400, 6
+    n = 400
     refs = rng.standard_normal((2, n))
     est = rng.standard_normal(n)
 
@@ -104,10 +105,12 @@ def test_delay_span_taps_match_direct_least_squares():
     for i in range(2):
         for d in range(flen):
             a[d:d + n, i * flen + d] = refs[i]
-    want, *_ = np.linalg.lstsq(a, np.concatenate([est, np.zeros(flen - 1)]),
-                               rcond=None)
+    est_pad = np.concatenate([est, np.zeros(flen - 1)])
+    joint, *_ = np.linalg.lstsq(a, est_pad, rcond=None)
+    target, *_ = np.linalg.lstsq(a[:, :flen], est_pad, rcond=None)
     d = bss_decompose(est, refs, 0, filter_len=flen)
-    assert np.max(np.abs(d.s_target + d.e_interf - a @ want)) < 1e-6
+    assert np.max(np.abs(d.s_target + d.e_interf - a @ joint)) < 1e-6
+    assert np.max(np.abs(d.s_target - a[:, :flen] @ target)) < 1e-6
 
 
 @pytest.mark.parametrize("flen", [1, 16])

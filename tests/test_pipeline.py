@@ -231,6 +231,29 @@ def test_evaluate_empty_split_raises(tmp_path, tiny_corpus):
         evaluate(ckpt, only_train, split="test")
 
 
+@pytest.mark.parametrize("kw, match", [
+    ({"workers": 0}, "workers must be an integer >= 1, got 0"),
+    ({"workers": -3}, "workers must be an integer >= 1, got -3"),
+    ({"workers": 2.5}, "workers must be an integer >= 1, got 2.5"),
+    ({"workers": True}, "workers must be an integer >= 1, got True"),
+    ({"filter_len": 0}, "filter_len must be an integer >= 1, got 0"),
+    ({"filter_len": 16.0}, "filter_len must be an integer >= 1, got 16.0"),
+])
+@pytest.mark.parametrize("ideal", [False, True])
+def test_evaluate_checks_counts_before_reading_clips(kw, match, ideal, tmp_path):
+    from vpsep.dataset import ClipEntry
+
+    # no clip file exists, so only a check made before any read can answer
+    missing = DatasetManifest(tmp_path / "absent",
+                              (ClipEntry("clip000", "test", 1.0, tmp_path / "absent"),))
+    ckpt = fresh_ckpt(width=8, layers=1)
+    with pytest.raises(VpsepError, match=match):
+        if ideal:
+            evaluate_ideal(missing, **kw)
+        else:
+            evaluate(ckpt, missing, **kw)
+
+
 def _silence_vocal(entry):
     """Make a clip instrumental: an all-zero vocal stem, music as the mix."""
     music = wav_read(entry.music_path)
@@ -397,11 +420,12 @@ def test_checkpoint_detects_corruption(tmp_path):
     ({"note": "extra"}, "note contradict"),
     ({"hop": DROP}, "hop contradict"),
     ({"final_j": DROP}, "final_j contradict"),
-    ({"epochs_trained": 2.0}, "epochs_trained contradict"),
+    ({"epochs_trained": 2.0}, "epochs_trained must be an integer"),
     ({"final_j": "abc"}, "final_j must be a number"),
     ({"final_j": [1, 2]}, "final_j must be a number"),
     ({"color_n": 0.7}, r"color_n must lie in \(0, 0.5\), got 0.7"),
     ({"color_n": "abc"}, "color_n must be a number"),
+    ({"final_j": float("nan")}, "final_j must be finite"),  # JSON NaN
 ])
 def test_checkpoint_rejects_metadata_contradicting_model(changes, match, tmp_path):
     ckpt = fresh_ckpt(model="CVPNN", width=8, layers=1)
@@ -434,6 +458,29 @@ def test_model_checkpoint_rejects_color_n_outside_ramp(color_n):
     net = init_network("vp", [N_BINS, 8, 2 * N_BINS], seed=0)
     with pytest.raises(CheckpointError, match=r"color_n must lie in \(0, 0.5\)"):
         ModelCheckpoint("CVPNN", color_n, net)
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"epochs_trained": 2.7}, "epochs_trained must be an integer >= 0, got 2.7"),
+    ({"epochs_trained": -1}, "epochs_trained must be an integer >= 0, got -1"),
+    ({"epochs_trained": True}, "epochs_trained must be an integer >= 0, got True"),
+    ({"epochs_trained": "3"}, "epochs_trained must be an integer >= 0, got '3'"),
+    ({"final_j": float("nan")}, "final_j must be finite, got nan"),
+    ({"final_j": float("inf")}, "final_j must be finite, got inf"),
+    ({"final_j": "abc"}, "final_j must be a number, got 'abc'"),
+])
+def test_model_checkpoint_rejects_bad_training_record(fields, match):
+    net = init_network("vp", [N_BINS, 8, 2 * N_BINS], seed=0)
+    with pytest.raises(CheckpointError, match=match):
+        ModelCheckpoint("CVPNN", 0.0938, net, **fields)
+
+
+def test_model_checkpoint_fields_cannot_bypass_the_checks():
+    import dataclasses
+
+    ckpt = fresh_ckpt(width=8, layers=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ckpt.epochs_trained = 2.7
 
 
 def test_model_checkpoint_reports_non_numeric_color_n():
