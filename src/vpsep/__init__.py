@@ -43,6 +43,7 @@ from .errors import (
     WavFormatError,
 )
 from .metrics import (
+    BssReferences,
     BssResult,
     Decomposition,
     GlobalMetrics,
@@ -80,7 +81,8 @@ from .vecmat import vec_matmul
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "AudioError", "BssResult", "CheckpointError", "ClipEntry",
+    "AdamState", "AudioError", "BssReferences", "BssResult", "CheckpointError",
+    "ClipEntry",
     "ClipEval", "ColorParams", "ComplexSpectrogram", "ConfigError",
     "DatasetError", "DatasetManifest", "Decomposition", "EvalReport",
     "ExperimentConfig", "GlobalMetrics", "HOP", "MODELS", "MODEL_SPECS",

@@ -3,13 +3,15 @@
 An estimate is decomposed by least squares into a filtered image of its
 true source, interference from the other references, and a residual
 artifact term.  Projections go onto spans of time-delayed reference
-copies (``filter_len`` taps); one set of reference spectra gives the
-normal equations' Gram matrix and right-hand side and both projections.
+copies (``filter_len`` taps).  A clip's references are prepared once
+(``BssReferences``): their spectra, delay Gram and factored systems
+serve every estimate scored against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import linalg as sla
@@ -56,35 +58,6 @@ def _as_signal(x) -> np.ndarray:
     return x
 
 
-def _normal_equations(rf: np.ndarray, ef: np.ndarray, nfft: int, flen: int):
-    """Normal equations projecting the estimate (spectrum ``ef``) onto each
-    reference (spectra ``rf``) delayed by 0..flen-1 samples: the Gram matrix
-    indexed (ref, delay, ref, delay) and the right-hand side (ref, delay)."""
-    gram = np.empty((len(rf), flen, len(rf), flen))
-    for i in range(len(rf)):
-        for j in range(i + 1):
-            c = np.fft.irfft(rf[i] * np.conj(rf[j]), nfft)
-            # <ref_i delayed a, ref_j delayed b> = c[b - a], wrapping negative lags
-            gram[i, :, j] = sla.toeplitz(c[-np.arange(flen)], c[:flen])
-            gram[j, :, i] = gram[i, :, j].T
-    # one irfft per reference: a single batched irfft rounds differently
-    rhs = np.stack([np.fft.irfft(ef * np.conj(r), nfft)[:flen] for r in rf])
-    return gram, rhs
-
-
-def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Taps shaped like ``rhs`` for the normal equations, solved in place:
-    a diagonal jitter relative to this Gram matrix's own mean diagonal,
-    then Cholesky, or lstsq when it is numerically singular anyway."""
-    gram = gram.reshape(rhs.size, rhs.size)
-    gram[np.diag_indices_from(gram)] += GRAM_JITTER * max(np.mean(np.diag(gram)), 1.0)
-    try:
-        taps = sla.cho_solve(sla.cho_factor(gram), rhs.ravel())
-    except np.linalg.LinAlgError:
-        taps, *_ = np.linalg.lstsq(gram, rhs.ravel(), rcond=None)
-    return taps.reshape(rhs.shape)
-
-
 def _project(rf: np.ndarray, taps: np.ndarray, nfft: int, size: int) -> np.ndarray:
     """The references (spectra ``rf``) filtered by their rows of taps and
     summed: one product of spectra per reference, one inverse transform,
@@ -93,39 +66,81 @@ def _project(rf: np.ndarray, taps: np.ndarray, nfft: int, size: int) -> np.ndarr
     return np.fft.irfft(spec, nfft)[:size]
 
 
-def bss_decompose(
-    est, refs, target_index: int = 0, filter_len: int = 512
-) -> Decomposition:
-    """Split an estimate into target, interference, and artifact parts.
+class BssReferences:
+    """A clip's references prepared once for any number of estimates: their
+    spectra and joint delay Gram, indexed (ref, delay, ref, delay).  Each
+    system is factored on first use and kept: target ``t``'s from a copy of
+    the Gram's ``(t, t)`` block, the joint one from a copy of the whole."""
 
-    ``s_target`` is the projection onto the true source's delayed span,
-    ``e_interf`` the extra part explained by all references jointly, and
-    ``e_artif`` whatever remains; the three sum to the (zero-padded)
-    estimate by construction.  The target system is a copy of the
-    target's diagonal block of the joint one, jittered on its own.
-    """
-    est = _as_signal(est)
-    refs = [_as_signal(r) for r in refs]
-    check_int("target_index", target_index, 0)
+    def __init__(self, refs, filter_len: int = 512):
+        check_int("filter_len", filter_len, 1)
+        refs = [_as_signal(r) for r in refs]
+        if len({len(r) for r in refs}) != 1:
+            raise ShapeMismatchError(f"need references of one length, got lengths "
+                                     f"{[len(r) for r in refs]}")
+        for k, r in enumerate(refs):
+            if not np.any(r):
+                raise VpsepError(f"reference {k} is identically zero")
+        self.filter_len = flen = filter_len
+        self._n = len(refs[0])
+        self._nfft = nfft = next_fast_len(self._n + flen - 1)
+        self._rf = rf = np.fft.rfft(np.stack(refs), nfft, axis=1)
+        self._gram = gram = np.empty((len(rf), flen, len(rf), flen))
+        for i in range(len(rf)):
+            for j in range(i + 1):
+                c = np.fft.irfft(rf[i] * np.conj(rf[j]), nfft)
+                # <ref_i delayed a, ref_j delayed b> = c[b - a], wrapping negative lags
+                gram[i, :, j] = sla.toeplitz(c[-np.arange(flen)], c[:flen])
+                gram[j, :, i] = gram[i, :, j].T
+        self._solvers = {}
+
+    def _solve(self, key, rhs: np.ndarray) -> np.ndarray:
+        """Taps shaped like ``rhs`` for target ``key``'s system (None: the
+        joint one), jittered by its own mean diagonal, then Cholesky, or
+        lstsq when it is numerically singular anyway."""
+        solve = self._solvers.get(key)
+        if solve is None:
+            gram = self._gram if key is None else self._gram[key, :, key]
+            gram = gram.reshape(rhs.size, rhs.size).copy()
+            gram[np.diag_indices_from(gram)] += GRAM_JITTER * np.mean(np.diag(gram))
+            try:
+                solve = partial(sla.cho_solve, sla.cho_factor(gram))
+            except np.linalg.LinAlgError:
+                solve = partial(lambda g, b: np.linalg.lstsq(g, b, rcond=None)[0], gram)
+            self._solvers[key] = solve
+        return solve(rhs.ravel()).reshape(rhs.shape)
+
+    def decompose(self, est, target_index: int = 0) -> Decomposition:
+        """Split an estimate into ``s_target``, its projection onto the true
+        source's delayed span, ``e_interf``, the extra part all references
+        explain jointly, and ``e_artif``, the rest of the padded estimate."""
+        est = _as_signal(est)
+        check_int("target_index", target_index, 0)
+        rf, nfft, flen = self._rf, self._nfft, self.filter_len
+        size = self._n + flen - 1
+        if target_index >= len(rf):
+            raise VpsepError(f"no reference {target_index} among {len(rf)}")
+        if len(est) != self._n:
+            raise ShapeMismatchError(f"lengths: estimate {len(est)} != references {self._n}")
+        ef = np.fft.rfft(est, nfft)
+        # one irfft per reference: a single batched irfft rounds differently
+        rhs = np.stack([np.fft.irfft(ef * np.conj(r), nfft)[:flen] for r in rf])
+        t = slice(target_index, target_index + 1)
+        s_target = _project(rf[t], self._solve(target_index, rhs[t]), nfft, size)
+        p_all = _project(rf, self._solve(None, rhs), nfft, size) if len(rf) > 1 else s_target
+        est_pad = np.concatenate([est, np.zeros(flen - 1)])
+        return Decomposition(s_target, p_all - s_target, est_pad - p_all)
+
+
+def bss_decompose(est, refs, target_index: int = 0, filter_len: int = 512) -> Decomposition:
+    """``BssReferences(refs, filter_len).decompose(est, target_index)``;
+    ``refs`` may be references already prepared with this ``filter_len``."""
     check_int("filter_len", filter_len, 1)
-    if target_index >= len(refs):
-        raise VpsepError(f"no reference {target_index} among {len(refs)}")
-    if any(len(r) != len(est) for r in refs):
-        raise ShapeMismatchError(f"lengths {[len(r) for r in refs]} != {len(est)}")
-    refs = np.stack(refs)
-    for k, r in enumerate(refs):
-        if not np.any(r):
-            raise VpsepError(f"reference {k} is identically zero")
-
-    size = len(est) + filter_len - 1
-    nfft = next_fast_len(size)
-    rf = np.fft.rfft(refs, nfft, axis=1)
-    gram, rhs = _normal_equations(rf, np.fft.rfft(est, nfft), nfft, filter_len)
-    t = slice(target_index, target_index + 1)
-    s_target = _project(rf[t], _solve(gram[t, :, t].copy(), rhs[t]), nfft, size)
-    p_all = _project(rf, _solve(gram, rhs), nfft, size) if len(refs) > 1 else s_target
-    est_pad = np.concatenate([est, np.zeros(filter_len - 1)])
-    return Decomposition(s_target, p_all - s_target, est_pad - p_all)
+    if not isinstance(refs, BssReferences):
+        refs = BssReferences(refs, filter_len)
+    elif filter_len != refs.filter_len:
+        raise VpsepError(f"filter_len {filter_len} != the prepared {refs.filter_len}")
+    return refs.decompose(est, target_index)
 
 
 def _ratio_db(num: float, den: float) -> float:

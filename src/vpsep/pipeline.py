@@ -42,7 +42,8 @@ from .errors import (
     VpsepError,
     check_int,
 )
-from .metrics import GlobalMetrics, aggregate_global, bss_decompose, sdr_only, sdr_sir_sar
+from .metrics import (BssReferences, GlobalMetrics, aggregate_global, bss_decompose,
+                      sdr_only, sdr_sir_sar)
 from .network import (Network, init_network, loss_j, real_backward, real_forward,
                       vp_backward, vp_forward)
 from .optim import adam_init, adam_step
@@ -310,6 +311,7 @@ def _clip_rows(entry: ClipEntry, estimate_fn, filter_len: int) -> list[ClipEval]
     voc_t = Waveform(refs[0], TARGET_RATE)
     mus_t = Waveform(refs[1], TARGET_RATE)
     est_v, est_m = estimate_fn(mix_t, voc_t, mus_t)
+    refs = BssReferences(refs, filter_len)
     rows = []
     for idx, (name, est) in enumerate((("vocal", est_v), ("music", est_m))):
         decomp = bss_decompose(est.samples, refs, target_index=idx,

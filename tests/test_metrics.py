@@ -1,7 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import vpsep.metrics
 from vpsep import (
+    BssReferences,
     BssResult,
     Decomposition,
     GlobalMetrics,
@@ -77,10 +82,14 @@ def test_scale_invariance():
     s2 = rng.standard_normal(2000)
     est = 0.7 * s1 + 0.2 * s2 + 0.1 * rng.standard_normal(2000)
     a = sdr_sir_sar(bss_decompose(est, [s1, s2], 0, filter_len=8))
-    b = sdr_sir_sar(bss_decompose(123.0 * est, [s1, s2], 0, filter_len=8))
-    assert abs(a.sdr - b.sdr) < 1e-6
-    assert abs(a.sir - b.sir) < 1e-6
-    assert abs(a.sar - b.sar) < 1e-6
+    # the estimate alone, then the estimate and references together: the
+    # Gram jitter is relative, so quiet stems score like loud ones
+    for est_gain, ref_gain in ((123.0, 1.0), (1e-5, 1e-5)):
+        refs = [ref_gain * s1, ref_gain * s2]
+        b = sdr_sir_sar(bss_decompose(est_gain * est, refs, 0, filter_len=8))
+        assert abs(a.sdr - b.sdr) < 1e-6
+        assert abs(a.sir - b.sir) < 1e-6
+        assert abs(a.sar - b.sar) < 1e-6
 
 
 def test_sdr_bounded_by_sir_and_sar():
@@ -94,8 +103,8 @@ def test_sdr_bounded_by_sir_and_sar():
         assert r.sdr <= min(r.sir, r.sar) + 3.02
 
 
-@pytest.mark.parametrize("flen", [1, 6])
-def test_delay_span_taps_match_direct_least_squares(flen):
+def check_direct_least_squares(flen):
+    """Both projections against an explicit delay matrix and lstsq."""
     rng = np.random.default_rng(5)
     n = 400
     refs = rng.standard_normal((2, n))
@@ -113,6 +122,11 @@ def test_delay_span_taps_match_direct_least_squares(flen):
     assert np.max(np.abs(d.s_target - a[:, :flen] @ target)) < 1e-6
 
 
+@pytest.mark.parametrize("flen", [1, 6])
+def test_delay_span_taps_match_direct_least_squares(flen):
+    check_direct_least_squares(flen)
+
+
 @pytest.mark.parametrize("flen", [1, 16])
 @pytest.mark.parametrize("t", [0, 1])
 def test_target_projection_ignores_the_other_references(t, flen):
@@ -124,6 +138,92 @@ def test_target_projection_ignores_the_other_references(t, flen):
     joint = bss_decompose(est, refs, t, filter_len=flen)
     alone = bss_decompose(est, refs[t:t + 1], 0, filter_len=flen)
     assert np.array_equal(joint.s_target, alone.s_target)
+
+
+def counting_sla(monkeypatch, fail=False):
+    """Stand in for ``metrics.sla``: count ``cho_factor`` calls, and raise
+    ``LinAlgError`` from each one when ``fail`` is set."""
+    calls = []
+
+    def cho_factor(a):
+        calls.append(a.shape)
+        if fail:
+            raise np.linalg.LinAlgError("forced")
+        return scipy.linalg.cho_factor(a)
+
+    monkeypatch.setattr(vpsep.metrics, "sla", SimpleNamespace(
+        cho_factor=cho_factor, cho_solve=scipy.linalg.cho_solve,
+        toeplitz=scipy.linalg.toeplitz))
+    return calls
+
+
+@pytest.mark.parametrize("flen", [1, 16])
+@pytest.mark.parametrize("n_refs", [1, 2, 3])
+def test_shared_references_match_per_call_decompositions(n_refs, flen):
+    rng = np.random.default_rng(9)
+    refs = rng.standard_normal((n_refs, 900))
+    ests = [refs.T @ rng.uniform(0.2, 1.0, n_refs) + 0.1 * rng.standard_normal(900)
+            for _ in range(3)]
+    for order in (range(n_refs), reversed(range(n_refs))):
+        prepared = BssReferences(refs, flen)
+        for t in order:
+            for est in ests:
+                shared = prepared.decompose(est, t)
+                alone = bss_decompose(est, refs, t, filter_len=flen)
+                for name in ("s_target", "e_interf", "e_artif"):
+                    assert np.array_equal(getattr(shared, name), getattr(alone, name))
+                via = bss_decompose(est, prepared, t, filter_len=flen)
+                assert np.array_equal(via.e_artif, alone.e_artif)
+
+
+def test_shared_references_factor_each_system_once(monkeypatch):
+    calls = counting_sla(monkeypatch)
+    rng = np.random.default_rng(10)
+    refs = rng.standard_normal((2, 700))
+    ests = [refs[0] + 0.3 * refs[1], rng.standard_normal(700)]
+    prepared = BssReferences(refs, 8)
+    for est in ests:
+        prepared.decompose(est, 0)
+    assert calls == [(8, 8), (16, 16)]  # target 0, then the joint system
+    for est in ests:
+        sdr_only(est, prepared, 1, filter_len=8)
+    assert calls == [(8, 8), (16, 16), (8, 8)]
+
+
+@pytest.mark.parametrize("flen", [1, 6])
+def test_lstsq_fallback_matches_direct_least_squares(flen, monkeypatch):
+    calls = counting_sla(monkeypatch, fail=True)
+    check_direct_least_squares(flen)
+    assert len(calls) == 2
+    rng = np.random.default_rng(11)
+    refs = rng.standard_normal((2, 500))
+    prepared = BssReferences(refs, flen)
+    for t in (1, 0):
+        for est in (refs[0] - refs[1], rng.standard_normal(500)):
+            shared = prepared.decompose(est, t)
+            alone = bss_decompose(est, refs, t, filter_len=flen)
+            for name in ("s_target", "e_interf", "e_artif"):
+                assert np.array_equal(getattr(shared, name), getattr(alone, name))
+
+
+def test_shared_references_validation():
+    s = np.ones(100)
+    prepared = BssReferences([s, -s + np.arange(100)], 4)
+    with pytest.raises(VpsepError, match="filter_len 8 != the prepared 4"):
+        bss_decompose(s, prepared, 0, filter_len=8)
+    with pytest.raises(VpsepError, match="filter_len must be an integer"):
+        bss_decompose(s, prepared, 0, filter_len=4.0)
+    with pytest.raises(VpsepError, match="filter_len 512"):
+        sdr_only(s, prepared, 0)
+    with pytest.raises(ShapeMismatchError, match="lengths"):
+        prepared.decompose(np.ones(99), 0)
+    with pytest.raises(VpsepError, match="no reference 2 among 2"):
+        prepared.decompose(s, 2)
+    for bad in (-1, 1.0, True):
+        with pytest.raises(VpsepError, match="target_index must be an integer"):
+            prepared.decompose(s, bad)
+    with pytest.raises(ShapeMismatchError, match="lengths"):
+        BssReferences([], 4)
 
 
 def test_delayed_estimate_still_scores_as_target():
