@@ -67,7 +67,6 @@ from .pipeline import (
     train,
 )
 from .transform import (
-    ColorParams,
     MagnitudeMatrix,
     color_decode,
     color_encode,
@@ -83,7 +82,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "AudioError", "BssReferences", "BssResult", "CheckpointError",
     "ClipEntry",
-    "ClipEval", "ColorParams", "ComplexSpectrogram", "ConfigError",
+    "ClipEval", "ComplexSpectrogram", "ConfigError",
     "DatasetError", "DatasetManifest", "Decomposition", "EvalReport",
     "ExperimentConfig", "GlobalMetrics", "HOP", "MODELS", "MODEL_SPECS",
     "MagnitudeMatrix", "MaskPair", "ModelCheckpoint", "N_BINS", "Network",

@@ -84,23 +84,20 @@ class ComplexSpectrogram:
 
 @dataclass(frozen=True)
 class MaskPair:
-    """Two soft masks in [0,1] that sum to one per t-f cell."""
+    """A vocal soft mask ``m1`` in [0, 1] per t-f cell; the music mask
+    ``m2`` is its complement, so the pair sums to one by construction."""
 
     m1: np.ndarray
-    m2: np.ndarray
 
     def __post_init__(self):
         m1 = np.asarray(self.m1, dtype=np.float64)
-        m2 = np.asarray(self.m2, dtype=np.float64)
-        if m1.shape != m2.shape:
-            raise ShapeMismatchError(f"mask shapes differ: {m1.shape} vs {m2.shape}")
-        if m1.size:
-            if m1.min() < 0 or m1.max() > 1 or m2.min() < 0 or m2.max() > 1:
-                raise AudioError("masks must lie in [0, 1]")
-            if np.max(np.abs(m1 + m2 - 1.0)) > 1e-12:
-                raise AudioError("masks must sum to 1 per cell")
+        if m1.size and not (m1.min() >= 0 and m1.max() <= 1):  # NaN fails too
+            raise AudioError("masks must lie in [0, 1]")
         object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
+
+    @property
+    def m2(self) -> np.ndarray:
+        return 1.0 - self.m1
 
 
 def resample_to_16k(w: Waveform) -> Waveform:
@@ -189,16 +186,13 @@ def soft_mask(mag1: np.ndarray, mag2: np.ndarray) -> MaskPair:
     mag2 = np.asarray(mag2, dtype=np.float64)
     if mag1.shape != mag2.shape:
         raise ShapeMismatchError(f"shape mismatch: {mag1.shape} vs {mag2.shape}")
-    if mag1.size and (mag1.min() < 0 or mag2.min() < 0):
+    if mag1.size and not (mag1.min() >= 0 and mag2.min() >= 0):
         raise AudioError("magnitudes must be nonnegative")
     total = mag1 + mag2 + MASK_EPS
     m1 = mag1 / total
-    m2 = mag2 / total
-    s = m1 + m2
+    s = m1 + mag2 / total
     live = s > 0
-    m1 = np.where(live, m1 / np.where(live, s, 1.0), 0.5)
-    m2 = 1.0 - m1
-    return MaskPair(m1, m2)
+    return MaskPair(np.where(live, m1 / np.where(live, s, 1.0), 0.5))
 
 
 def apply_mask_and_reconstruct(
@@ -271,24 +265,16 @@ def _atomic_write(path, write) -> None:
         raise
 
 
-def wav_write(path, w: Waveform | list[Waveform], fmt: str = "pcm16") -> None:
-    """Write mono (or interleaved multichannel) PCM16/float32 WAV.
+def wav_write(path, w: Waveform, fmt: str = "pcm16") -> None:
+    """Write one mono waveform as a PCM16 or float32 WAV file.
 
     PCM16 uses the int/32768 convention, so data originating from 16-bit
     samples round-trips bit-exactly and anything else is within 1 LSB.
     """
-    waves = [w] if isinstance(w, Waveform) else list(w)
-    if not waves:
-        raise WavFormatError("nothing to write")
-    rate = waves[0].sample_rate
-    n = len(waves[0])
-    if any(x.sample_rate != rate or len(x) != n for x in waves):
-        raise WavFormatError("channels must share rate and length")
-    frames = np.stack([x.samples for x in waves], axis=1)
     if fmt == "pcm16":
-        frames = np.clip(np.round(frames * 32768.0), -32768, 32767).astype("<i2")
+        data = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2")
     elif fmt == "float32":
-        frames = frames.astype("<f4")
+        data = w.samples.astype("<f4")
     else:
         raise WavFormatError(f"unknown output format {fmt!r}")
-    _atomic_write(path, lambda fh: wavfile.write(fh, rate, frames))
+    _atomic_write(path, lambda fh: wavfile.write(fh, w.sample_rate, data))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, check_int
-from .transform import check_color_n
+from .transform import COLOR_N, check_color_n
 
 # model -> (network kind, default hidden width, input transform, context)
 MODEL_SPECS: dict[str, dict] = {
@@ -27,7 +27,7 @@ class ExperimentConfig:
     model: str = "CVPNN"
     hidden_width: int | None = None
     hidden_layers: int = 3
-    color_n: float = 0.0938
+    color_n: float = COLOR_N
     lr: float = 1e-3
     batch_frames: int = 128
     epochs: int = 100

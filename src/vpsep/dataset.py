@@ -28,9 +28,8 @@ from .audio import (
     _atomic_write,
 )
 from .config import ExperimentConfig
-from .errors import DatasetError, check_int
+from .errors import AudioError, DatasetError, check_int
 from .transform import (
-    ColorParams,
     color_encode,
     normalize,
     window_encode,
@@ -111,6 +110,9 @@ def load_manifest(root) -> DatasetManifest:
         if len(cols) != 3:
             raise DatasetError(f"{path}:{lineno}: expected 3 tab-separated columns")
         clip_id, split, dur_s = (c.strip() for c in cols)
+        if clip_id in ("", ".", "..") or Path(clip_id).name != clip_id:
+            raise DatasetError(f"{path}:{lineno}: clip id {clip_id!r} must be one "
+                               "directory name other than '.' and '..'")
         if clip_id in seen:
             raise DatasetError(f"{path}:{lineno}: duplicate clip id {clip_id!r}")
         seen.add(clip_id)
@@ -135,10 +137,7 @@ def write_manifest(manifest: DatasetManifest) -> Path:
 def _fade_ends(x: np.ndarray, rate: int, fade_s: float = 0.010) -> np.ndarray:
     """Raised-cosine fade at both ends; forces exact zeros at the edges so
     overlap-add reconstruction is lossless from sample 0."""
-    n = len(x)
-    k = min(int(round(fade_s * rate)), n // 2)
-    if k < 1:
-        return x
+    k = min(int(round(fade_s * rate)), len(x) // 2)
     ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(k) / k)
     y = x.copy()
     y[:k] *= ramp
@@ -243,9 +242,9 @@ def clip_training_frames(entry: ClipEntry, config: ExperimentConfig):
     norm_mus = normalize(stft(music).magnitude(), scale=norm_mix.scale)
 
     if config.transform == "color":
-        params = ColorParams(config.color_n)
-        x = color_encode(norm_mix, params)
-        v, m = color_encode(norm_voc, params), color_encode(norm_mus, params)
+        n = config.color_n
+        x = color_encode(norm_mix, n)
+        v, m = color_encode(norm_voc, n), color_encode(norm_mus, n)
     elif config.transform == "window" and config.kind == "vp":
         x = window_encode(norm_mix)
         v, m = window_encode(norm_voc), window_encode(norm_mus)
@@ -266,7 +265,10 @@ def load_training_frames(manifest: DatasetManifest, config: ExperimentConfig):
         raise DatasetError("manifest has no training clips")
     xs, ts = [], []
     for entry in train:
-        x, t = clip_training_frames(entry, config)
+        try:
+            x, t = clip_training_frames(entry, config)
+        except AudioError as e:  # e.g. a clip shorter than one window
+            raise DatasetError(f"clip {entry.clip_id!r}: {e}") from e
         xs.append(x)
         ts.append(t)
     return np.concatenate(xs, axis=-1), np.concatenate(ts, axis=-1)

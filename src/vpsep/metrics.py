@@ -6,6 +6,10 @@ artifact term.  Projections go onto spans of time-delayed reference
 copies (``filter_len`` taps).  A clip's references are prepared once
 (``BssReferences``): their spectra, delay Gram and factored systems
 serve every estimate scored against them.
+
+A ratio's part with at most ``ENERGY_FLOOR`` times the estimate's energy
+counts as absent, the numerator first: an estimate with no energy scores
+-100 dB on all three ratios, and a quiet one scores like a loud one.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from scipy.fft import next_fast_len
 from .errors import ShapeMismatchError, VpsepError, check_int
 
 DB_CAP = 100.0
-ENERGY_FLOOR = 1e-20
+ENERGY_FLOOR = 1e-20  # relative to the estimate's energy
 GRAM_JITTER = 1e-10
 
 
@@ -143,11 +147,12 @@ def bss_decompose(est, refs, target_index: int = 0, filter_len: int = 512) -> De
     return refs.decompose(est, target_index)
 
 
-def _ratio_db(num: float, den: float) -> float:
-    if den < ENERGY_FLOOR:
-        return DB_CAP
-    if num < ENERGY_FLOOR:
+def _ratio_db(num: float, den: float, total: float) -> float:
+    """``num / den`` in dB within +/- ``DB_CAP``, by the floor rule above."""
+    if num <= ENERGY_FLOOR * total:
         return -DB_CAP
+    if den <= ENERGY_FLOOR * total:
+        return DB_CAP
     return float(np.clip(10.0 * np.log10(num / den), -DB_CAP, DB_CAP))
 
 
@@ -161,10 +166,11 @@ def sdr_sir_sar(decomp: Decomposition) -> BssResult:
     e_ea = float(ea @ ea)
     e_dist = float((ei + ea) @ (ei + ea))
     e_sa = float((st + ei) @ (st + ei))
+    total = e_st + e_dist  # the estimate's energy: s_target is orthogonal to the rest
     return BssResult(
-        sdr=_ratio_db(e_st, e_dist),
-        sir=_ratio_db(e_st, e_ei),
-        sar=_ratio_db(e_sa, e_ea),
+        sdr=_ratio_db(e_st, e_dist, total),
+        sir=_ratio_db(e_st, e_ei, total),
+        sar=_ratio_db(e_sa, e_ea, total),
     )
 
 

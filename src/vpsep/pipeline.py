@@ -48,7 +48,6 @@ from .network import (Network, init_network, loss_j, real_backward, real_forward
                       vp_backward, vp_forward)
 from .optim import adam_init, adam_step
 from .transform import (
-    ColorParams,
     MagnitudeMatrix,
     check_color_n,
     color_decode,
@@ -76,6 +75,8 @@ class ModelCheckpoint:
         if self.kind != MODEL_SPECS[self.model]["kind"]:
             raise CheckpointError(f"kind {self.kind!r} contradicts model {self.model}")
         check_color_n(_number("color_n", self.color_n, float), CheckpointError)
+        if not np.all(np.isfinite(self.network.params)):
+            raise CheckpointError("network parameters contain NaN or Inf")
         check_int("epochs_trained", self.epochs_trained, 0, CheckpointError)
         if self.final_j is not None and not np.isfinite(
                 _number("final_j", self.final_j, float)):
@@ -120,7 +121,7 @@ def _check_fit(model, sizes: list[int]) -> None:
 def _encode_input(ckpt_like, norm: MagnitudeMatrix):
     transform, kind = ckpt_like.transform, ckpt_like.kind
     if transform == "color":
-        return color_encode(norm, ColorParams(ckpt_like.color_n))
+        return color_encode(norm, ckpt_like.color_n)
     if transform == "window" and kind == "vp":
         return window_encode(norm)
     if transform == "window":
@@ -138,9 +139,9 @@ def _engine(kind: str):
 def _decode_output(ckpt: ModelCheckpoint, y, scale: float) -> np.ndarray:
     """Network output back to raw magnitude rows (vocal stacked on music)."""
     if ckpt.kind == "real":
-        return np.clip(np.asarray(y, dtype=np.float64), 0.0, 1.0) * scale
+        return y * scale  # an expit output: already float64 in [0, 1]
     if ckpt.transform == "color":
-        return color_decode(y, ColorParams(ckpt.color_n)).data * scale
+        return color_decode(y, ckpt.color_n).data * scale
     return window_decode(y).data * scale
 
 
@@ -243,8 +244,7 @@ def separate_ideal(mix: Waveform, vocal: Waveform, music: Waveform,
     n = min(len(w), len(v), len(m))
     mag_v, mag_m = (stft(_pad_waveform(_cut(x, 0, n))).magnitude() for x in (v, m))
     if kind == "binary":
-        m1 = (mag_v >= mag_m).astype(np.float64)
-        masks = MaskPair(m1, 1.0 - m1)
+        masks = MaskPair((mag_v >= mag_m).astype(np.float64))
     else:
         masks = soft_mask(mag_v, mag_m)
     return _masked_split(_cut(w, 0, n), lambda spec: masks)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ShapeMismatchError, VpsepError
 
 SCALE_FLOOR = 1e-12
+COLOR_N = 0.0938  # default bias n of the RGB ramp
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class MagnitudeMatrix:
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeMismatchError(f"magnitudes must be 2-D, got ndim={arr.ndim}")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
             raise VpsepError("normalized magnitudes must lie in [0, 1]")
         if not self.scale > 0:
             raise VpsepError(f"scale must be positive, got {self.scale}")
@@ -45,16 +46,6 @@ def check_color_n(n: float, error: type[VpsepError] = VpsepError) -> None:
         raise error(f"color_n must lie in (0, 0.5), got {n}")
 
 
-@dataclass(frozen=True)
-class ColorParams:
-    """Bias of the RGB ramp."""
-
-    n: float = 0.0938
-
-    def __post_init__(self):
-        check_color_n(self.n)
-
-
 def normalize(mag: np.ndarray, scale: float | None = None) -> MagnitudeMatrix:
     """Scale raw magnitudes into [0,1].
 
@@ -63,7 +54,7 @@ def normalize(mag: np.ndarray, scale: float | None = None) -> MagnitudeMatrix:
     targets, whose occasional overshoot is clamped to 1.
     """
     mag = np.asarray(mag, dtype=np.float64)
-    if mag.size and mag.min() < 0.0:
+    if mag.size and not mag.min() >= 0.0:
         raise VpsepError("magnitudes must be nonnegative")
     if scale is None:
         scale = max(float(mag.max()) if mag.size else 0.0, SCALE_FLOOR)
@@ -106,13 +97,12 @@ def window_stack(s: MagnitudeMatrix) -> np.ndarray:
     return np.concatenate(window_encode(s))
 
 
-def color_encode(s: MagnitudeMatrix, p: ColorParams = ColorParams()) -> np.ndarray:
-    """Map each magnitude x in [0,1] to an RGB triple on the ramp, as a
-    (3, F, T) array: r = clamp(x/n), g = clamp((x-n)/n),
-    b = clamp((x-2n)/(1-2n))."""
-    x, n = s.data, p.n
-    if x.size and (x.min() < 0.0 or x.max() > 1.0):
-        raise VpsepError("color encoding needs magnitudes in [0, 1]")
+def color_encode(s: MagnitudeMatrix, n: float = COLOR_N) -> np.ndarray:
+    """Map each magnitude x in [0,1] to an RGB triple on the ramp with bias
+    ``n`` in (0, 0.5), as a (3, F, T) array: r = clamp(x/n),
+    g = clamp((x-n)/n), b = clamp((x-2n)/(1-2n))."""
+    check_color_n(n)
+    x = s.data
     v = _planes_like(x)
     np.clip(x / n, 0.0, 1.0, out=v[0])
     np.clip((x - n) / n, 0.0, 1.0, out=v[1])
@@ -120,17 +110,17 @@ def color_encode(s: MagnitudeMatrix, p: ColorParams = ColorParams()) -> np.ndarr
     return v
 
 
-def color_decode(v: np.ndarray, p: ColorParams = ColorParams()) -> MagnitudeMatrix:
-    """Project RGB triples back onto the ramp and return the curve
-    parameter x in [0,1].
+def color_decode(v: np.ndarray, n: float = COLOR_N) -> MagnitudeMatrix:
+    """Project RGB triples back onto the ramp with bias ``n`` in (0, 0.5)
+    and return the curve parameter x in [0,1].
 
     The curve is three axis-aligned segments; the nearest point on each
     is a clamped coordinate projection, so the global nearest-curve x is
     exact.  On-curve inputs therefore invert the encoder; off-curve
     network outputs are projected, never rejected.
     """
+    check_color_n(n)
     r, g, b = v
-    n = p.n
 
     t1 = np.clip(r, 0.0, 1.0)
     d1 = (r - t1) ** 2 + g**2 + b**2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from vpsep import TARGET_RATE, Waveform, checkpoint_load, wav_read, wav_write
 from vpsep.cli import main
@@ -159,8 +160,8 @@ def test_separate_missing_input(cli_env, tmp_path, capsys):
 
 def test_separate_stereo_needs_channel(cli_env, tmp_path, capsys):
     stereo = tmp_path / "st.wav"
-    x = Waveform(np.zeros(TARGET_RATE) + 0.1, TARGET_RATE)
-    wav_write(stereo, [x, x], fmt="float32")
+    x = np.full((TARGET_RATE, 2), 0.1, dtype="<f4")
+    wavfile.write(stereo, TARGET_RATE, x)
     code, out, err = run(capsys, "separate", "--checkpoint",
                          str(cli_env["ckpt"]), "--input", str(stereo),
                          "--out", str(tmp_path))

@@ -143,6 +143,11 @@ def test_read_config_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="integer"):
         read_config_file(bad_value)
 
+    bad_float = tmp_path / "d.cfg"
+    bad_float.write_text("lr = fast\n")
+    with pytest.raises(ConfigError, match="lr expects a number, got 'fast'"):
+        read_config_file(bad_float)
+
 
 def test_make_config_precedence(tmp_path):
     path = tmp_path / "run.cfg"

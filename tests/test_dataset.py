@@ -64,6 +64,16 @@ def test_synth_stems_sum_to_mixture_and_stay_bounded(tiny_corpus):
         assert vocal.samples[0] == 0.0 and vocal.samples[-1] == 0.0
 
 
+def test_synth_rescales_a_loud_mixture_to_the_peak(tmp_path):
+    # seed 8's clip 1 peaks at 0.925 before scaling; clip 0 stays below 0.90
+    m = synth_dataset(tmp_path, seed=8, n_train=2, n_test=0, duration_s=4.0)
+    quiet, loud = (wav_read(c.mix_path).samples for c in m.clips)
+    assert np.max(np.abs(quiet)) < 0.89
+    assert abs(np.max(np.abs(loud)) - 0.90) <= 2.0 ** -24  # float32 rounding
+    vocal, music = load_clip_stems(m.clips[1])
+    assert np.max(np.abs(vocal.samples + music.samples - loud)) <= 2.0 ** -23
+
+
 def test_synth_rejects_bad_parameters(tmp_path):
     with pytest.raises(DatasetError):
         synth_dataset(tmp_path / "x", n_train=0)
@@ -148,6 +158,10 @@ def test_manifest_errors(tmp_path):
     root.mkdir()
     mpath = root / "manifest.tsv"
 
+    mpath.write_text(" \n\n")
+    with pytest.raises(DatasetError, match="empty manifest"):
+        load_manifest(root)
+
     mpath.write_text("clip\tsplit\tduration\nx\ttrain\t1.0\n")
     with pytest.raises(DatasetError, match="header"):
         load_manifest(root)
@@ -167,6 +181,14 @@ def test_manifest_errors(tmp_path):
     mpath.write_text("clip_id\tsplit\tduration\nx\tvalidation\t1.0\n")
     with pytest.raises(DatasetError):
         load_manifest(root)
+
+
+@pytest.mark.parametrize("clip_id", ["", ".", "..", "../outside", "a/b", "/abs"])
+def test_manifest_rejects_clip_id_outside_one_directory(clip_id, tmp_path):
+    (tmp_path / "manifest.tsv").write_text(
+        f"clip_id\tsplit\tduration\nok\ttrain\t1.0\n{clip_id}\ttest\t1.0\n")
+    with pytest.raises(DatasetError, match=r"manifest\.tsv:3: clip id"):
+        load_manifest(tmp_path)
 
 
 def test_clip_entry_validation(tmp_path):
@@ -267,6 +289,17 @@ def test_load_training_frames_requires_training_split(tmp_path):
     m = DatasetManifest(root, (ClipEntry("only", "test", 1.0, root),))
     with pytest.raises(DatasetError, match="training"):
         load_training_frames(m, ExperimentConfig())
+
+
+def test_load_training_frames_names_a_clip_shorter_than_one_window(tmp_path):
+    m = synth_dataset(tmp_path, seed=1, n_train=1, n_test=0, duration_s=0.4)
+    short = ClipEntry("short", "train", 0.05, tmp_path)
+    short.clip_dir.mkdir()
+    for path in (short.vocal_path, short.music_path):
+        wav_write(path, Waveform(np.zeros(800), TARGET_RATE))
+    m = DatasetManifest(tmp_path, m.clips + (short,))
+    with pytest.raises(DatasetError, match="clip 'short': signal of 800 samples"):
+        load_training_frames(m, ExperimentConfig(model="DNN1"))
 
 
 def test_make_batches_covers_every_frame_once():

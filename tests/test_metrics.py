@@ -84,7 +84,8 @@ def test_scale_invariance():
     a = sdr_sir_sar(bss_decompose(est, [s1, s2], 0, filter_len=8))
     # the estimate alone, then the estimate and references together: the
     # Gram jitter is relative, so quiet stems score like loud ones
-    for est_gain, ref_gain in ((123.0, 1.0), (1e-5, 1e-5)):
+    for est_gain, ref_gain in ((123.0, 1.0), (1e-5, 1e-5), (1e-12, 1e-12),
+                               (1e-12, 1.0)):
         refs = [ref_gain * s1, ref_gain * s2]
         b = sdr_sir_sar(bss_decompose(est_gain * est, refs, 0, filter_len=8))
         assert abs(a.sdr - b.sdr) < 1e-6
@@ -238,11 +239,26 @@ def test_delayed_estimate_still_scores_as_target():
 
 
 def test_ratio_db_caps():
-    assert _ratio_db(1.0, 0.0) == 100.0
-    assert _ratio_db(1.0, 1e-30) == 100.0
-    assert _ratio_db(0.0, 1.0) == -100.0
-    assert _ratio_db(1.0, 1.0) == 0.0
-    assert _ratio_db(10.0, 1.0) == pytest.approx(10.0, abs=1e-12)
+    assert _ratio_db(1.0, 0.0, 1.0) == 100.0
+    assert _ratio_db(1.0, 1e-30, 1.0) == 100.0
+    assert _ratio_db(0.0, 1.0, 1.0) == -100.0
+    assert _ratio_db(1e-30, 1.0, 1.0) == -100.0
+    assert _ratio_db(0.0, 0.0, 0.0) == -100.0  # the numerator is tested first
+    assert _ratio_db(1.0, 1.0, 2.0) == 0.0
+    assert _ratio_db(10.0, 1.0, 11.0) == pytest.approx(10.0, abs=1e-12)
+    # the floor is relative to the estimate's energy, not absolute
+    assert _ratio_db(1e-30, 1e-31, 1.1e-30) == pytest.approx(10.0, abs=1e-12)
+    assert _ratio_db(1e-30, 1e-30, 2e-30) == 0.0
+
+
+def test_silent_estimate_scores_floor():
+    rng = np.random.default_rng(12)
+    refs = [rng.standard_normal(4000), rng.standard_normal(4000)]
+    r = sdr_sir_sar(bss_decompose(np.zeros(4000), refs, 0, filter_len=16))
+    assert (r.sdr, r.sir, r.sar) == (-100.0, -100.0, -100.0)
+    # a quiet estimate of pure interference is scored, not capped at +100
+    r = sdr_sir_sar(bss_decompose(1e-12 * refs[1], refs, 0, filter_len=16))
+    assert r.sdr < 0 and r.sir < 0
 
 
 def test_sdr_sir_sar_from_crafted_decomposition():

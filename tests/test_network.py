@@ -72,6 +72,15 @@ def test_vp_forward_shape_mismatch():
         forward(net, np.zeros((4, 2)))
 
 
+def test_backward_shape_mismatch():
+    net = init_network("vp", [4, 6, 3], seed=5)
+    y, acts = forward(net, np.zeros((3, 4, 2)))
+    with pytest.raises(ShapeMismatchError, match="activations do not match"):
+        backward(net, acts[:-1], np.zeros_like(y))
+    with pytest.raises(ShapeMismatchError, match=r"output gradient shape \(3, 3, 1\)"):
+        backward(net, acts, np.zeros((3, 3, 1)))
+
+
 def test_vp_forward_matches_naive_matmul_route():
     net = init_network("vp", [5, 7, 4], seed=8)
     rng = np.random.default_rng(9)

@@ -154,6 +154,9 @@ def test_adam_rejects_mismatched_inputs():
     other_state = adam_init(arrs([[1.0], [2.0]]))
     with pytest.raises(ShapeMismatchError):
         adam_step(params, arrs([[1.0, 2.0]]), other_state)
+    two_arrays = adam_init(arrs([[1.0, 2.0]], [[3.0]]))
+    with pytest.raises(ShapeMismatchError, match="state does not match"):
+        adam_step(params, arrs([[1.0, 2.0]]), two_arrays)
 
 
 def test_adam_rejects_non_finite_gradients():

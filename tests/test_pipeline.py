@@ -290,6 +290,19 @@ def test_evaluate_all_clips_silent_raises(tmp_path):
         evaluate_ideal(manifest, filter_len=16)
 
 
+def test_evaluate_scores_silent_estimate_at_floor(tmp_path):
+    # vocal output biases of -1000 saturate expit to exactly 0, so every vocal
+    # estimate is silent: it scores the floor, not the +100 dB cap
+    manifest = synth_dataset(tmp_path, seed=0, n_train=1, n_test=2, duration_s=1.0)
+    ckpt = fresh_ckpt(model="DNN1", width=8, layers=1)
+    ckpt.network.layers[-1][1][:N_BINS] = -1000.0
+    report = evaluate(ckpt, manifest, filter_len=32)
+    vocal = [c for c in report.clips if c.source == "vocal"]
+    assert len(vocal) == 2
+    assert all((c.sdr, c.sir, c.sar) == (-100.0, -100.0, -100.0) for c in vocal)
+    assert report.vocal.gnsdr < -100.0
+
+
 def test_evaluate_ideal_reports_oracle_label(tiny_corpus):
     report = evaluate_ideal(tiny_corpus, kind="soft", filter_len=16)
     assert report.model == "IDEAL-soft"
@@ -396,6 +409,15 @@ def test_checkpoint_detects_corruption(tmp_path):
 
     import zlib
 
+    meta_len = struct.unpack_from("<I", data, 8)[0]
+    for meta in (b"\xff" * meta_len, b"{" * meta_len):  # not UTF-8; not JSON
+        garbled = bytearray(data[:12] + meta + data[12 + meta_len:-4])
+        garbled += struct.pack("<I", zlib.crc32(bytes(garbled)) & 0xFFFFFFFF)
+        gpath = tmp_path / "garbled.ckpt"
+        gpath.write_bytes(bytes(garbled))
+        with pytest.raises(CheckpointError, match="unreadable metadata"):
+            checkpoint_load(gpath)
+
     for cut_bytes in (8, 3):  # one parameter short; not whole float64s
         short = bytearray(data[:-4 - cut_bytes])
         short += struct.pack("<I", zlib.crc32(bytes(short)) & 0xFFFFFFFF)
@@ -485,6 +507,32 @@ def test_model_checkpoint_fields_cannot_bypass_the_checks():
     ckpt = fresh_ckpt(width=8, layers=1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         ckpt.epochs_trained = 2.7
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_model_checkpoint_rejects_non_finite_params(value):
+    net = init_network("vp", [N_BINS, 8, 2 * N_BINS], seed=0)
+    net.params[5] = value
+    with pytest.raises(CheckpointError, match="NaN or Inf"):
+        ModelCheckpoint("CVPNN", 0.0938, net)
+
+
+def test_checkpoint_load_refuses_nan_params(tmp_path):
+    ckpt = fresh_ckpt(width=8, layers=1)
+    ckpt.network.params[0] = np.nan  # after the checkpoint's own check
+    path = tmp_path / "nan.ckpt"
+    checkpoint_save(path, ckpt)
+    with pytest.raises(CheckpointError, match="NaN or Inf"):
+        checkpoint_load(path)
+
+
+@pytest.mark.parametrize("model", ["CVPNN", "WVPNN", "DNN1"])
+def test_separate_refuses_nan_network(model, tiny_corpus):
+    # a NaN output must not pass the range checks and split the mixture in half
+    ckpt = fresh_ckpt(model=model, width=8, layers=1)
+    ckpt.network.params[:] = np.nan
+    with pytest.raises(VpsepError):
+        separate(ckpt, load_clip_mixture(tiny_corpus.test_clips[0]))
 
 
 def test_model_checkpoint_reports_non_numeric_color_n():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vpsep import (
-    ColorParams,
     MagnitudeMatrix,
     color_decode,
     color_encode,
@@ -117,16 +116,6 @@ def test_color_encode_matches_scalar_route():
     assert np.max(np.abs(got - want)) == 0.0
 
 
-def test_color_encode_rejects_out_of_range():
-    bad = MagnitudeMatrix.__new__(MagnitudeMatrix)
-    object.__setattr__(bad, "data", np.array([[1.2]]))
-    object.__setattr__(bad, "scale", 1.0)
-    with pytest.raises(VpsepError):
-        color_encode(bad)
-    with pytest.raises(VpsepError):
-        MagnitudeMatrix(np.array([[-0.1]]))
-
-
 def test_color_decode_corners():
     v = np.array([[[0.0, 1.0]]] * 3)
     back = color_decode(v)
@@ -143,9 +132,8 @@ def test_color_roundtrip_dense_grid():
 
 
 def test_color_roundtrip_other_bias():
-    p = ColorParams(n=0.2)
     x = np.linspace(0.0, 1.0, 501).reshape(1, 501)
-    back = color_decode(color_encode(mags(x), p), p)
+    back = color_decode(color_encode(mags(x), 0.2), 0.2)
     assert np.max(np.abs(back.data - x)) < 1e-12
 
 
@@ -182,10 +170,10 @@ def test_color_decode_matches_argmin_reference_bit_for_bit():
     # (.5, .5, 0): d1 = d2; (1, .5, .5): d2 = d3; (.5, .5, .5): all three
     grid = np.linspace(-0.25, 1.25, 7)
     ties = np.stack(np.meshgrid(grid, grid, grid, indexing="ij")).reshape(3, 7, 49)
-    for p in (ColorParams(), ColorParams(0.25)):
+    for n in (N_DEFAULT, 0.25):
         for v in (off_curve, ties):
-            got = color_decode(v, p).data
-            assert np.array_equal(got, color_decode_argmin(v, p.n))
+            got = color_decode(v, n).data
+            assert np.array_equal(got, color_decode_argmin(v, n))
 
 
 def test_color_encode_monotone_in_x():
@@ -197,14 +185,14 @@ def test_color_encode_monotone_in_x():
     assert np.all(np.diff(back.data[0]) > 0)
 
 
-def test_color_params_bounds():
-    ColorParams(n=0.25)
-    with pytest.raises(VpsepError):
-        ColorParams(n=0.0)
-    with pytest.raises(VpsepError):
-        ColorParams(n=0.5)
-    with pytest.raises(VpsepError):
-        ColorParams(n=-0.1)
+def test_color_n_bounds():
+    x = mags([[0.5]])
+    v = color_encode(x, 0.25)
+    for n in (0.0, 0.5, -0.1, float("nan")):
+        with pytest.raises(VpsepError, match="color_n"):
+            color_encode(x, n)
+        with pytest.raises(VpsepError, match="color_n"):
+            color_decode(v, n)
 
 
 def test_normalize_own_maximum():
@@ -240,3 +228,13 @@ def test_magnitude_matrix_validation():
         MagnitudeMatrix(np.zeros(4))
     with pytest.raises(VpsepError):
         MagnitudeMatrix(np.array([[0.5]]), scale=0.0)
+    for bad in (1.2, -0.1, np.nan):
+        with pytest.raises(VpsepError, match=r"\[0, 1\]"):
+            MagnitudeMatrix(np.array([[0.5, bad]]))
+
+
+def test_normalize_rejects_nan():
+    with pytest.raises(VpsepError):
+        normalize(np.array([[1.0, np.nan]]))
+    with pytest.raises(VpsepError):
+        normalize(np.array([[1.0]]), scale=np.nan)
