@@ -116,6 +116,16 @@ def test_color_encode_matches_scalar_route():
     assert np.max(np.abs(got - want)) == 0.0
 
 
+def test_color_encode_rejects_out_of_range():
+    # color_encode takes only a MagnitudeMatrix, whose constructor holds
+    # the one [0, 1] check; the ends of the range encode to the ramp ends
+    for bad in (1.2, -0.1, np.nan):
+        with pytest.raises(VpsepError, match=r"\[0, 1\]"):
+            color_encode(MagnitudeMatrix(np.array([[0.5, bad]])))
+    v = color_encode(mags([[0.0, 1.0]]))
+    assert np.array_equal(v[:, 0, :], [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+
+
 def test_color_decode_corners():
     v = np.array([[[0.0, 1.0]]] * 3)
     back = color_decode(v)
@@ -228,9 +238,6 @@ def test_magnitude_matrix_validation():
         MagnitudeMatrix(np.zeros(4))
     with pytest.raises(VpsepError):
         MagnitudeMatrix(np.array([[0.5]]), scale=0.0)
-    for bad in (1.2, -0.1, np.nan):
-        with pytest.raises(VpsepError, match=r"\[0, 1\]"):
-            MagnitudeMatrix(np.array([[0.5, bad]]))
 
 
 def test_normalize_rejects_nan():
