@@ -3,7 +3,7 @@
 The analysis geometry is fixed at a 1024-sample Hann window with a
 256-sample hop at 16 kHz.  Frames start at t*hop with no centering;
 trailing samples that do not fill a whole window are left out of the
-frame grid and only tracked through ``original_len``.
+frame grid and of what ``istft`` returns (``covered_length`` samples).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal
 from scipy.io import wavfile
 
-from .errors import AudioError, ShapeMismatchError, WavFormatError
+from .errors import AudioError, ShapeMismatchError, WavFormatError, check_int
 
 TARGET_RATE = 16000
 WINDOW_LEN = 1024
@@ -53,8 +53,7 @@ class Waveform:
             raise AudioError(f"samples must be 1-D, got ndim={arr.ndim}")
         if not np.all(np.isfinite(arr)):
             raise AudioError("samples contain NaN or Inf")
-        if self.sample_rate <= 0:
-            raise AudioError(f"sample rate must be positive, got {self.sample_rate}")
+        check_int("sample_rate", self.sample_rate, 1, AudioError)
         object.__setattr__(self, "samples", arr)
 
     def __len__(self) -> int:
@@ -63,10 +62,9 @@ class Waveform:
 
 @dataclass(frozen=True)
 class ComplexSpectrogram:
-    """Complex STFT frames (F x T) plus the source signal length."""
+    """Complex STFT frames (F x T)."""
 
     bins: np.ndarray
-    original_len: int
 
     def __post_init__(self):
         arr = np.asarray(self.bins, dtype=np.complex128)
@@ -141,7 +139,7 @@ def stft(w: Waveform) -> ComplexSpectrogram:
     n_frames_for(len(x))  # a signal shorter than one window raises
     frames = sliding_window_view(x, WINDOW_LEN)[::HOP] * _WINDOW
     bins = np.fft.rfft(frames, axis=1).T
-    return ComplexSpectrogram(bins, original_len=len(x))
+    return ComplexSpectrogram(bins)
 
 
 def istft(s: ComplexSpectrogram) -> Waveform:
@@ -153,7 +151,7 @@ def istft(s: ComplexSpectrogram) -> Waveform:
     zero (the outermost samples of the first and last hop) the division
     would amplify content that modified spectra leak under the window
     taper, so those samples are left undivided and simply taper to zero.
-    The returned waveform is padded with zeros up to ``original_len``.
+    The result spans the frames, ``(T - 1) * HOP + WINDOW_LEN`` samples.
     """
     t = s.n_frames
     frames = np.fft.irfft(s.bins.T, n=WINDOW_LEN, axis=1)
@@ -169,14 +167,9 @@ def istft(s: ComplexSpectrogram) -> Waveform:
         num[j:j + t] += frames[:, block]
         den[j:j + t] += wsq[block]
     y, den = num.ravel(), den.ravel()
-    covered = len(y)
     live = den > OLA_REL_FLOOR * np.max(den)
     y[live] /= den[live]
-    if s.original_len < covered:
-        raise AudioError("original_len inconsistent with frame count")
-    out = np.zeros(s.original_len)
-    out[:covered] = y
-    return Waveform(out, TARGET_RATE)
+    return Waveform(y, TARGET_RATE)
 
 
 def soft_mask(mag1: np.ndarray, mag2: np.ndarray) -> MaskPair:
@@ -204,9 +197,8 @@ def apply_mask_and_reconstruct(
         raise ShapeMismatchError(
             f"mask shape {masks.m1.shape} != spectrogram shape {mix.bins.shape}"
         )
-    s1 = ComplexSpectrogram(masks.m1 * mix.bins, mix.original_len)
-    s2 = ComplexSpectrogram(masks.m2 * mix.bins, mix.original_len)
-    return istft(s1), istft(s2)
+    return (istft(ComplexSpectrogram(masks.m1 * mix.bins)),
+            istft(ComplexSpectrogram(masks.m2 * mix.bins)))
 
 
 # --- WAV I/O ---------------------------------------------------------------

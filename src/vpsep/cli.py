@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .audio import Waveform, _atomic_write, wav_read, wav_write
+from .audio import _atomic_write, wav_read, wav_write
 from .config import MODELS, make_config
 from .dataset import load_manifest, synth_dataset
 from .errors import VpsepError
@@ -79,7 +79,7 @@ def _cmd_separate(args) -> int:
     stem = Path(args.input).stem
     paths = (out_dir / f"{stem}_vocal.wav", out_dir / f"{stem}_music.wav")
     for path, est in zip(paths, (est_vocal, est_music)):
-        wav_write(path, Waveform(est.samples, est.sample_rate), fmt=args.fmt)
+        wav_write(path, est, fmt=args.fmt)
         print(f"wrote {path}")
     return 0
 

@@ -46,7 +46,7 @@ class ExperimentConfig:
                           ("batch_frames", 1), ("epochs", 0), ("seed", 0),
                           ("filter_len", 1), ("workers", 1)):
             check_int(name, getattr(self, name), low, ConfigError)
-        if not 0 < self.lr < math.inf:
+        if isinstance(self.lr, bool) or not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         check_color_n(self.color_n, ConfigError)
 

@@ -181,7 +181,7 @@ def synth_dataset(root, seed: int = 0, n_train: int = 6, n_test: int = 4,
     check_int("n_train", n_train, 1, DatasetError)
     check_int("n_test", n_test, 0, DatasetError)
     check_int("seed", seed, 0, DatasetError)
-    if not 0.2 < duration_s < math.inf:
+    if isinstance(duration_s, bool) or not 0.2 < duration_s < math.inf:
         raise DatasetError(f"duration_s must be finite and above 0.2, got {duration_s}")
     rate = TARGET_RATE
     n = int(round(duration_s * rate))

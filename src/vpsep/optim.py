@@ -2,10 +2,10 @@
 
 The trainer passes ``[net.params]``, the network's flat parameter buffer
 (see :mod:`vpsep.network`), so a vector weight is three independent
-scalars; the update never couples entries.  A step overwrites the
-parameters and the state's moments and advances its step counter; every
-input check runs before the first write, so a rejected step changes
-nothing.
+scalars; the update never couples entries.  A step overwrites flat views
+of the parameters and the state's moments, so every array must be
+C-contiguous, and advances the step counter; every input check runs
+before the first write, so a rejected step changes nothing.
 
 The moment decay rates and the denominator's epsilon are the constants
 ``BETA1`` = 0.9, ``BETA2`` = 0.999 and ``EPSILON`` = 1e-8 (Kingma & Ba's
@@ -40,7 +40,7 @@ class AdamState:
     lr: float = 1e-3
 
     def __post_init__(self):
-        if not 0 < self.lr < math.inf:
+        if isinstance(self.lr, bool) or not 0 < self.lr < math.inf:
             raise VpsepError(f"learning rate must be positive and finite, got {self.lr}")
         if self.t < 0:
             raise VpsepError("step counter cannot be negative")
@@ -66,9 +66,11 @@ def _check_congruent(params, grads, state: AdamState) -> None:
             raise VpsepError(f"non-finite gradient entries in array {k}")
     if len(state.m) != len(params) or len(state.v) != len(params):
         raise ShapeMismatchError("optimizer state does not match parameters")
-    for k, (p, m, v) in enumerate(zip(params, state.m, state.v)):
+    for k, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
         if not p.shape == m.shape == v.shape:
             raise ShapeMismatchError(f"state array {k} shape mismatch")
+        if not all(a.flags.c_contiguous for a in (p, g, m, v)):  # else reshape copies
+            raise ShapeMismatchError(f"array {k}: every array must be C-contiguous")
 
 
 def adam_step(
@@ -84,12 +86,10 @@ def adam_step(
     state.t += 1
     c1 = 1.0 - BETA1**state.t
     c2 = 1.0 - BETA2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        blocks = [...]  # whole array, unless flat views can be cut into blocks
-        if all(a.flags.c_contiguous for a in (p, g, m, v)):
-            p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
-            blocks = [slice(i, i + _ADAM_CHUNK) for i in range(0, p.size, _ADAM_CHUNK)]
-        for blk in blocks:
+    for arrays in zip(params, grads, state.m, state.v):
+        p, g, m, v = (a.reshape(-1) for a in arrays)
+        for i in range(0, p.size, _ADAM_CHUNK):
+            blk = slice(i, i + _ADAM_CHUNK)
             gb, mb, vb = g[blk], m[blk], v[blk]
             mb *= BETA1
             mb += (1.0 - BETA1) * gb

@@ -1,9 +1,9 @@
 """Dimensionality transforms between real magnitudes and 3-vector inputs.
 
-Vector encodings are ``(3, F, T)`` arrays, one plane per component.  Two
-encoders are provided.  The context-window encoder packs the
-previous/current/next spectrogram frame of each t-f cell into a vector;
-its decoder simply reads back the middle component.  The color encoder
+Vector encodings are ``(3, F, T)`` arrays of column-major planes, one per
+component.  The context-window encoder packs the previous/current/next
+spectrogram frame of each t-f cell into a vector; its decoder reads back
+the middle component, which must lie in [0, 1].  The color encoder
 maps each normalized magnitude onto an RGB ramp (the piecewise-linear
 limit of a hot colormap); its decoder projects an arbitrary RGB triple
 back onto that curve, which for on-curve points is the exact inverse.
@@ -64,12 +64,9 @@ def normalize(mag: np.ndarray, scale: float | None = None) -> MagnitudeMatrix:
 
 
 def _planes_like(x: np.ndarray) -> np.ndarray:
-    """Uninitialised (3, *x.shape) array whose planes share x's memory
-    order: STFT magnitudes are column-major, and encoding them into
-    row-major planes would cost a transposing pass."""
-    if x.flags.f_contiguous and not x.flags.c_contiguous:
-        return np.empty((3,) + x.shape[::-1]).swapaxes(-1, -2)
-    return np.empty((3,) + x.shape)
+    """Uninitialised (3, *x.shape) array of column-major planes, the
+    memory order of STFT magnitudes (encoding them is no transposing pass)."""
+    return np.empty((3,) + x.shape[::-1]).swapaxes(-1, -2)
 
 
 def window_encode(s: MagnitudeMatrix) -> np.ndarray:
@@ -87,8 +84,8 @@ def window_encode(s: MagnitudeMatrix) -> np.ndarray:
 
 
 def window_decode(v: np.ndarray) -> MagnitudeMatrix:
-    """The current-frame plane, clamped to [0,1]."""
-    return MagnitudeMatrix(np.clip(v[1], 0.0, 1.0))
+    """The current-frame plane; it must lie in [0,1], as a sigmoid's does."""
+    return MagnitudeMatrix(v[1])
 
 
 def window_stack(s: MagnitudeMatrix) -> np.ndarray:
@@ -134,7 +131,7 @@ def color_decode(v: np.ndarray, n: float = COLOR_N) -> MagnitudeMatrix:
     d3 = (r - 1.0) ** 2 + (g - 1.0) ** 2 + (b - t3) ** 2
     x3 = 2.0 * n + t3 * (1.0 - 2.0 * n)
 
-    # nearest segment, ties to the earlier one (argmin's rule)
+    # nearest segment, ties to the earlier one (argmin's rule); x1..x3 lie in [0, 1]
     x = np.where(d2 < d1, x2, x1)
     x = np.where(d3 < np.minimum(d1, d2), x3, x)
-    return MagnitudeMatrix(np.clip(x, 0.0, 1.0))
+    return MagnitudeMatrix(x)

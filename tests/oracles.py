@@ -124,6 +124,4 @@ def istft_frame_loop(s: ComplexSpectrogram) -> Waveform:
         den[sl] += wsq
     live = den > OLA_REL_FLOOR * np.max(den)
     num[live] /= den[live]
-    out = np.zeros(s.original_len)
-    out[:covered] = num
-    return Waveform(out, TARGET_RATE)
+    return Waveform(num, TARGET_RATE)

@@ -83,6 +83,8 @@ def test_bounds_validation():
         ExperimentConfig(batch_frames=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(lr=0.0)
+    with pytest.raises(ConfigError, match="lr must be positive and finite, got True"):
+        ExperimentConfig(lr=True)
     with pytest.raises(ConfigError):
         ExperimentConfig(color_n=0.5)
     with pytest.raises(ConfigError):

@@ -79,6 +79,9 @@ def test_synth_rejects_bad_parameters(tmp_path):
         synth_dataset(tmp_path / "x", n_train=0)
     with pytest.raises(DatasetError):
         synth_dataset(tmp_path / "y", duration_s=0.05)
+    with pytest.raises(DatasetError, match="duration_s must be finite"):
+        synth_dataset(tmp_path / "z", n_train=1, n_test=0, duration_s=True)
+    assert not (tmp_path / "z").exists()
 
 
 @pytest.mark.parametrize("counts, match", [

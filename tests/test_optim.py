@@ -94,13 +94,20 @@ def test_adam_matches_pure_reference_across_blocks():
 
 
 def test_adam_non_contiguous_arrays_step_whole():
-    base = np.arange(12.0).reshape(3, 4)
-    params, ref_p = [base.T], [base.T.copy()]
-    grads = [np.linspace(-1.0, 1.0, 12).reshape(4, 3)]
-    state, ref_state = adam_init(params), adam_init(ref_p)
-    adam_step(params, grads, state)
-    ref_p, _ = adam_step_pure(ref_p, grads, ref_state)
-    assert np.array_equal(base.T, ref_p[0])
+    # a step works on flat views of whole C-contiguous arrays; any other
+    # layout of the parameter, gradient or a moment is refused untouched
+    rng = np.random.default_rng(8)
+    for k in range(4):
+        arrays = [rng.uniform(0.1, 1.0, (4, 3)) for _ in range(4)]
+        arrays[k] = np.asfortranarray(arrays[k])
+        before = [a.copy() for a in arrays]
+        p, g, m, v = arrays
+        state = AdamState([m], [v])
+        with pytest.raises(ShapeMismatchError, match="C-contiguous"):
+            adam_step([p], [g], state)
+        assert state.t == 0
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b)
 
 
 def test_adam_deterministic():
@@ -190,6 +197,8 @@ def test_adam_state_validates_hyperparameters():
         adam_init(arrs([[1.0]]), lr=float("nan"))
     with pytest.raises(VpsepError):
         adam_init(arrs([[1.0]]), lr=float("inf"))
+    with pytest.raises(VpsepError, match="got True"):
+        adam_init(arrs([[1.0]]), lr=True)
     with pytest.raises(VpsepError):
         AdamState(m=[], v=[], t=-1)
     # the decay rates and epsilon are constants, not settings

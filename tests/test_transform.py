@@ -68,9 +68,23 @@ def test_window_roundtrip_exact():
 
 
 def test_window_decode_clamps():
-    v = np.stack([np.zeros((1, 2)), np.array([[-0.25, 1.5]]), np.zeros((1, 2))])
-    back = window_decode(v)
-    assert np.array_equal(back.data, [[0.0, 1.0]])
+    # nothing is clamped: the current-frame plane must already lie in [0, 1]
+    for bad in (-0.25, 1.5, np.nan):
+        v = np.stack([np.zeros((1, 2)), np.array([[0.5, bad]]), np.zeros((1, 2))])
+        with pytest.raises(VpsepError, match=r"\[0, 1\]"):
+            window_decode(v)
+    v = np.random.default_rng(2).uniform(0, 1, (3, 4, 5))
+    v[1, 0, :2] = 0.0, 1.0
+    assert window_decode(v).data.tobytes() == v[1].tobytes()
+
+
+def test_encoders_give_column_major_planes_for_either_input_order():
+    data = np.random.default_rng(6).uniform(0, 1, (6, 5))
+    for encode in (color_encode, window_encode):
+        row, col = (encode(mags(a)) for a in (np.ascontiguousarray(data),
+                                               np.asfortranarray(data)))
+        assert all(plane.flags.f_contiguous for plane in (*row, *col))
+        assert row.tobytes() == col.tobytes()
 
 
 def test_window_stack_layout():
