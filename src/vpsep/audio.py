@@ -153,23 +153,52 @@ def istft(s: ComplexSpectrogram) -> Waveform:
     taper, so those samples are left undivided and simply taper to zero.
     The result spans the frames, ``(T - 1) * HOP + WINDOW_LEN`` samples.
     """
-    t = s.n_frames
-    frames = np.fft.irfft(s.bins.T, n=WINDOW_LEN, axis=1)
-    frames *= _WINDOW
-    wsq = _WINDOW * _WINDOW
-    # hop-sized blocks: block j of frame k lands on output block k + j, so
-    # adding block j of every frame at once, j from last to first, sums each
+    rows = ola_rows(s.n_frames)
+    overlap_add(rows, 0, s.bins)
+    return ola_waveforms(rows)[0]
+
+
+def ola_rows(n_frames: int) -> np.ndarray:
+    """A zeroed overlap-add accumulator for ``n_frames`` frames: one row per
+    hop of the ``(n_frames - 1) * HOP + WINDOW_LEN`` samples they span."""
+    return np.zeros((n_frames + _OVERLAP - 1, HOP))
+
+
+def _add_frames(rows: np.ndarray, frames: np.ndarray) -> None:
+    # hop-sized blocks: block j of frame k lands on row k + j, so adding
+    # block j of every frame at once, j from last to first, sums each
     # sample's frames in ascending order, as a per-frame loop does
-    num = np.zeros((t + _OVERLAP - 1, HOP))
-    den = np.zeros_like(num)
+    t = len(frames)
     for j in reversed(range(_OVERLAP)):
-        block = slice(j * HOP, (j + 1) * HOP)
-        num[j:j + t] += frames[:, block]
-        den[j:j + t] += wsq[block]
-    y, den = num.ravel(), den.ravel()
+        rows[j:j + t] += frames[:, j * HOP:(j + 1) * HOP]
+
+
+def overlap_add(rows: np.ndarray, lo: int, bins: np.ndarray) -> None:
+    """Add the windowed inverse transforms of the frame columns ``bins``
+    (F x T) into the accumulator ``rows`` as frames ``lo`` to ``lo + T``.
+
+    Adding a spectrogram's frame blocks in order sums every sample's frames
+    in the same order as adding it whole, so the result is the same."""
+    frames = np.fft.irfft(bins.T, n=WINDOW_LEN, axis=1)
+    frames *= _WINDOW
+    _add_frames(rows[lo:lo + len(frames) + _OVERLAP - 1], frames)
+
+
+def ola_waveforms(*accumulators: np.ndarray) -> list[Waveform]:
+    """Finish overlap-add accumulators of one frame count: divide each by
+    the accumulated squared window where it is trusted (see ``istft``).
+    The accumulators are divided in place and become the samples."""
+    n_frames = len(accumulators[0]) - _OVERLAP + 1
+    den = ola_rows(n_frames)
+    _add_frames(den, np.broadcast_to(_WINDOW * _WINDOW, (n_frames, WINDOW_LEN)))
+    den = den.ravel()
     live = den > OLA_REL_FLOOR * np.max(den)
-    y[live] /= den[live]
-    return Waveform(y, TARGET_RATE)
+    out = []
+    for rows in accumulators:
+        y = rows.ravel()
+        y[live] /= den[live]
+        out.append(Waveform(y, TARGET_RATE))
+    return out
 
 
 def soft_mask(mag1: np.ndarray, mag2: np.ndarray) -> MaskPair:

@@ -93,7 +93,7 @@ def test_adam_matches_pure_reference_across_blocks():
         assert np.array_equal(got, want)
 
 
-def test_adam_non_contiguous_arrays_step_whole():
+def test_adam_refuses_non_contiguous_arrays():
     # a step works on flat views of whole C-contiguous arrays; any other
     # layout of the parameter, gradient or a moment is refused untouched
     rng = np.random.default_rng(8)

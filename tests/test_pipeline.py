@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,77 @@ def test_separate_ideal_soft_and_binary(tiny_corpus):
         assert err_v < base  # the oracle must beat the raw mixture
     with pytest.raises(VpsepError):
         separate_ideal(mix, vocal, music, kind="wiener")
+
+
+def _worst(a, b) -> float:
+    return float(np.max(np.abs(a - b), initial=0.0))
+
+
+def _split_in_blocks(monkeypatch, frames, run):
+    monkeypatch.setattr(pipeline, "_BLOCK_FRAMES", frames)
+    return run()
+
+
+WHOLE = 10**9  # frames per block: more than any test input has
+
+
+def _assert_blocks_match_one_block(monkeypatch, mix, run):
+    # the test clips have 80 frames: blocks of 1 and of 7 frames (not a
+    # divisor) against one block
+    peak = np.max(np.abs(mix.samples))
+    whole = _split_in_blocks(monkeypatch, WHOLE, run)
+    for frames in (1, 7):
+        est = _split_in_blocks(monkeypatch, frames, run)
+        for got, want in zip(est, whole):
+            assert _worst(got.samples, want.samples) <= 1e-12 * peak
+        assert _worst(est[0].samples + est[1].samples, mix.samples) <= 1e-12 * peak
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_separate_in_blocks_matches_one_block(model, tiny_corpus, monkeypatch):
+    # context-3 models need the halo frames to agree at block edges
+    ckpt = fresh_ckpt(model=model, width=8, layers=1)
+    mix = load_clip_mixture(tiny_corpus.test_clips[0])
+    _assert_blocks_match_one_block(monkeypatch, mix, lambda: separate(ckpt, mix))
+
+
+@pytest.mark.parametrize("kind", ["soft", "binary"])
+def test_separate_ideal_in_blocks_matches_one_block(kind, tiny_corpus, monkeypatch):
+    entry = tiny_corpus.test_clips[1]
+    vocal, music = load_clip_stems(entry)
+    mix = load_clip_mixture(entry)
+    _assert_blocks_match_one_block(
+        monkeypatch, mix, lambda: separate_ideal(mix, vocal, music, kind=kind))
+
+
+@pytest.mark.parametrize("n", [0, 1, 100])
+@pytest.mark.parametrize("frames", [1, WHOLE])
+def test_separate_inputs_shorter_than_a_window(n, frames, monkeypatch):
+    ckpt = fresh_ckpt(model="WVPNN", width=8, layers=1)
+    mix = Waveform(np.linspace(-0.5, 0.5, n), TARGET_RATE)
+    est_v, est_m = _split_in_blocks(monkeypatch, frames, lambda: separate(ckpt, mix))
+    assert len(est_v) == len(est_m) == n
+    assert _worst(est_v.samples + est_m.samples, mix.samples) <= 1e-12
+
+
+def test_separate_memory_grows_little_per_input_second():
+    # what is held whole is the padded mixture, its complex STFT (0.5 MB per
+    # second) and the two estimates; a whole-clip separation also holds the
+    # encoding, every activation, the output and its decode temporaries,
+    # about 8 MiB per second at 64x2
+    ckpt = fresh_ckpt(width=64, layers=2)
+    rng = np.random.default_rng(3)
+    peaks = {}
+    for seconds in (10, 40):
+        mix = Waveform(0.3 * rng.standard_normal(seconds * TARGET_RATE), TARGET_RATE)
+        tracemalloc.start()
+        try:
+            separate(ckpt, mix)
+            peaks[seconds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_second = (peaks[40] - peaks[10]) / 30
+    assert per_second < 2 * 2**20
 
 
 def test_evaluate_report_consistency(tiny_corpus):

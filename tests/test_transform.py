@@ -67,7 +67,7 @@ def test_window_roundtrip_exact():
     assert np.array_equal(back.data, s.data)
 
 
-def test_window_decode_clamps():
+def test_window_decode_refuses_out_of_range_planes():
     # nothing is clamped: the current-frame plane must already lie in [0, 1]
     for bad in (-0.25, 1.5, np.nan):
         v = np.stack([np.zeros((1, 2)), np.array([[0.5, bad]]), np.zeros((1, 2))])

@@ -12,7 +12,8 @@ The traffic is:
 - ``train``, ``info`` and ``evaluate --out --per-clip`` for each of the
   five models at 8x1 for 1 epoch;
 - ``separate`` of a 44.1 kHz float32 mixture with CVPNN, WVPNN, DNN1 and
-  DNN3;
+  DNN3; the mixture is one test clip tiled to 9 s, longer than one
+  separation block, so block edges are crossed;
 - ``evaluate --ideal soft --workers 2`` and ``evaluate --ideal binary``.
 
 Run it against a source tree::
@@ -115,6 +116,7 @@ def run_cli(main, argv) -> None:
 
 
 def traffic(tmp: Path) -> None:
+    import numpy as np
     from scipy.io import wavfile
     from scipy.signal import resample_poly
 
@@ -131,7 +133,8 @@ def traffic(tmp: Path) -> None:
 
     _, mix16k = wavfile.read(Path(data) / "clip002" / "mix.wav")  # float32
     mix44 = tmp / "mix44.wav"
-    wavfile.write(mix44, 44100, resample_poly(mix16k, 441, 160).astype("<f4"))
+    tiled = np.tile(mix16k, 6)  # 9 s: more than one block of frames
+    wavfile.write(mix44, 44100, resample_poly(tiled, 441, 160).astype("<f4"))
 
     for model in MODELS:
         ckpt = str(tmp / f"{model}.ckpt")
