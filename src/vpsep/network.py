@@ -125,7 +125,8 @@ def backward(net: Network, activations: list[np.ndarray], d_out) -> np.ndarray:
     for k in range(len(net.layers) - 1, -1, -1):
         a, a_prev = activations[k + 1], activations[k]
         dw, db = d_layers[k]
-        g = da * a * (1.0 - a)  # sigmoid adjoint
+        g = np.multiply(da, a)  # sigmoid adjoint (da * a) * (1 - a), in place
+        g *= 1.0 - a
         np.sum(g, axis=-1, keepdims=True, out=db)
         np.multiply(product(g, a_prev.swapaxes(-1, -2)), sign, out=dw)
         if k > 0:
@@ -159,7 +160,9 @@ def loss_j(pred, target) -> tuple[float, np.ndarray]:
     k = e.shape[-2] // 2
     # summed source by source, each plane by plane: this order fixes the
     # bits of every J, hence of final_j in the checkpoint
-    return _frob_sq(e[..., :k, :]) + _frob_sq(e[..., k:, :]), 2.0 * e
+    j = _frob_sq(e[..., :k, :]) + _frob_sq(e[..., k:, :])
+    e *= 2.0  # the gradient, without a second whole-batch array
+    return j, e
 
 
 def init_network(kind: str, sizes, seed) -> Network:

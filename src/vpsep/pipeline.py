@@ -286,12 +286,14 @@ def separate_ideal(mix: Waveform, vocal: Waveform, music: Waveform,
     w, v, m = (resample_to_16k(x) for x in (mix, vocal, music))
     n = min(len(w), len(v), len(m))
     mag_v, mag_m = (stft(_pad_waveform(_cut(x, 0, n))).magnitude() for x in (v, m))
-    if kind == "binary":
-        masks = MaskPair((mag_v >= mag_m).astype(np.float64))
-    else:
-        masks = soft_mask(mag_v, mag_m)
-    return _masked_split(_cut(w, 0, n),
-                         lambda spec: lambda lo, hi: MaskPair(masks.m1[:, lo:hi]))
+
+    def block(lo, hi):
+        # masks are cellwise, so a block's mask is that block of the whole one
+        bv, bm = mag_v[:, lo:hi], mag_m[:, lo:hi]
+        if kind == "binary":
+            return MaskPair((bv >= bm).astype(np.float64))
+        return soft_mask(bv, bm)
+    return _masked_split(_cut(w, 0, n), lambda spec: block)
 
 
 # --- evaluation -------------------------------------------------------------

@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+import vpsep.metrics
 from vpsep import synth_dataset
 
 
@@ -13,6 +14,19 @@ def tiny_corpus(tmp_path_factory):
     """Small but realistic train/test corpus shared by pipeline-level tests."""
     root = tmp_path_factory.mktemp("corpus")
     return synth_dataset(root, seed=11, n_train=2, n_test=2, duration_s=1.2)
+
+
+@pytest.fixture
+def lapack_threads():
+    """The ``(get, set)`` thread-count functions of scipy's OpenBLAS; the
+    count the test found is put back after it."""
+    threads = vpsep.metrics._ONE_LAPACK_THREAD.threads
+    if threads is None:
+        pytest.skip("scipy's OpenBLAS exports no thread-count setter")
+    get, set_ = threads
+    before = get()
+    yield threads
+    set_(before)
 
 
 def central_diff(f, planes, eps=1e-6):

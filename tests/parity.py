@@ -13,11 +13,16 @@ it once per version and compare the outputs::
     PYTHONPATH=new/src python tests/parity.py > new.txt
     python tests/parity.py --compare old.txt new.txt
 
-``--compare`` requires the J, sha256 and stem lines to match exactly.
-For the per-clip metrics it prints the largest |difference| in dB per
-label and metric, and it exits 1 if any exceeds 1e-9 dB.  Identical
-output (``diff``) means bit-identical training, checkpoint bytes,
-separations and evaluation metrics.  It uses only API that has been
+The first line records the thread setup: ``OPENBLAS_NUM_THREADS`` and
+the number of usable CPUs.  Training rounds differently for each BLAS
+thread count (the J bits and checkpoint bytes move between one and two
+threads), so ``--compare`` refuses, with exit code 2, two outputs taken
+with different setups or without a recorded one.  Otherwise it requires
+the J, sha256 and stem lines to match exactly.  For the per-clip metrics
+it prints the largest |difference| in dB per label and metric, and it
+exits 1 if any exceeds 1e-9 dB.  Identical output (``diff``) means
+bit-identical training, checkpoint bytes, separations and evaluation
+metrics.  It uses only API that has been
 stable across versions, and pytest does not collect it (the name does
 not start with ``test_``).
 """
@@ -25,6 +30,7 @@ not start with ``test_``).
 import difflib
 import hashlib
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -35,6 +41,14 @@ FILTER_LENS = (512, 32)
 IDEAL_KINDS = ("soft", "binary")
 METRICS = ("SDR", "SIR", "SAR", "mix-SDR")
 TOLERANCE_DB = 1e-9
+SETUP = "setup"
+
+
+def setup_line() -> str:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"{SETUP} OPENBLAS_NUM_THREADS={threads} cpus_usable={cpus}"
 
 
 def print_evaluation(label: str, report) -> None:
@@ -51,21 +65,28 @@ def print_stems(label: str, stems) -> None:
 
 
 def read_output(path):
-    """The lines that must match exactly, and the per-clip metric values
-    keyed by (model, filter_len, clip, source)."""
-    exact, metrics = [], {}
+    """The thread-setup line (None if absent), the lines that must match
+    exactly, and the per-clip metric values keyed by (model, filter_len,
+    clip, source)."""
+    setup, exact, metrics = None, [], {}
     for line in Path(path).read_text().splitlines():
         words = line.split()
-        if len(words) == 8 and words[1].startswith("filter_len="):
+        if words[:1] == [SETUP]:
+            setup = line
+        elif len(words) == 8 and words[1].startswith("filter_len="):
             metrics[tuple(words[:4])] = [float.fromhex(w) for w in words[4:]]
         else:
             exact.append(line)
-    return exact, metrics
+    return setup, exact, metrics
 
 
 def compare(old_path, new_path) -> int:
-    old_exact, old_metrics = read_output(old_path)
-    new_exact, new_metrics = read_output(new_path)
+    old_setup, old_exact, old_metrics = read_output(old_path)
+    new_setup, new_exact, new_metrics = read_output(new_path)
+    if old_setup != new_setup:
+        print(f"refused: {old_path} was taken with {old_setup or 'no recorded setup'}, "
+              f"{new_path} with {new_setup or 'no recorded setup'}")
+        return 2
     ok = old_exact == new_exact
     for line in difflib.unified_diff(old_exact, new_exact, str(old_path),
                                      str(new_path), lineterm=""):
@@ -93,6 +114,7 @@ def run() -> int:
                        separate, separate_ideal, synth_dataset, train, wav_read)
 
     print(f"vpsep imported from {vpsep.__file__}", file=sys.stderr)
+    print(setup_line())
     with tempfile.TemporaryDirectory() as tmp:
         manifest = synth_dataset(Path(tmp) / "corpus", seed=0)
         clip = manifest.test_clips[0]

@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -328,3 +330,76 @@ def test_sdr_only_matches_full_result():
     est = s1 + 0.5 * s2
     full = sdr_sir_sar(bss_decompose(est, [s1, s2], 0, filter_len=4))
     assert sdr_only(est, [s1, s2], 0, filter_len=4) == full.sdr
+
+
+def counting_threads(monkeypatch, get, fail=False):
+    """Stand in for ``metrics.sla``: record scipy's LAPACK thread count at
+    each ``cho_factor`` call, and raise ``RuntimeError`` when ``fail`` is set."""
+    seen = []
+
+    def cho_factor(a):
+        seen.append(get())
+        if fail:
+            raise RuntimeError("forced")
+        return scipy.linalg.cho_factor(a)
+
+    monkeypatch.setattr(vpsep.metrics, "sla", SimpleNamespace(
+        cho_factor=cho_factor, cho_solve=scipy.linalg.cho_solve,
+        toeplitz=scipy.linalg.toeplitz))
+    return seen
+
+
+def test_factorizations_run_on_one_lapack_thread(lapack_threads, monkeypatch):
+    get, set_ = lapack_threads
+    set_(2)
+    seen = counting_threads(monkeypatch, get)
+    refs = np.random.default_rng(12).standard_normal((2, 600))
+    sdr_only(refs[0] + 0.2 * refs[1], refs, 0, filter_len=8)
+    assert seen == [1, 1]
+    assert get() == 2
+
+
+def test_lapack_threads_restored_after_failed_decomposition(lapack_threads, monkeypatch):
+    get, set_ = lapack_threads
+    set_(2)
+    seen = counting_threads(monkeypatch, get, fail=True)
+    refs = np.random.default_rng(13).standard_normal((2, 600))
+    with pytest.raises(RuntimeError, match="forced"):
+        bss_decompose(refs[0], refs, 0, filter_len=8)
+    assert seen == [1]
+    assert get() == 2
+    assert vpsep.metrics._ONE_LAPACK_THREAD._depth == 0
+
+
+def test_concurrent_decompositions_leave_the_thread_count(lapack_threads, monkeypatch):
+    get, set_ = lapack_threads
+    set_(2)
+    seen = counting_threads(monkeypatch, get)
+    rng = np.random.default_rng(14)
+    refs = rng.standard_normal((2, 900))
+    ests = [refs[0] + k * rng.standard_normal(900) for k in range(8)]
+    # more threads than cores, switching often, so that entries and exits interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            decomps = list(pool.map(lambda e: bss_decompose(e, refs, 0, filter_len=32),
+                                    ests, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(decomps) == 8
+    assert seen == [1] * 16  # each call factors the target and the joint system
+    assert get() == 2
+    assert vpsep.metrics._ONE_LAPACK_THREAD._depth == 0
+
+
+def test_missing_thread_setter_is_a_no_op(monkeypatch):
+    assert vpsep.metrics._openblas_threads(SimpleNamespace()) is None
+    plain = SimpleNamespace(openblas_get_num_threads=len, openblas_set_num_threads=abs)
+    assert vpsep.metrics._openblas_threads(plain) == (len, abs)
+    refs = np.random.default_rng(15).standard_normal((2, 600))
+    est = refs[0] + 0.2 * refs[1]
+    scoped = sdr_sir_sar(bss_decompose(est, refs, 0, filter_len=8))
+    monkeypatch.setattr(vpsep.metrics, "_ONE_LAPACK_THREAD",
+                        vpsep.metrics._OneThreadScope(None))
+    assert sdr_sir_sar(bss_decompose(est, refs, 0, filter_len=8)) == scoped

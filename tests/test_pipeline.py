@@ -1,4 +1,5 @@
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -249,6 +250,26 @@ def test_separate_memory_grows_little_per_input_second():
     assert per_second < 2 * 2**20
 
 
+@pytest.mark.parametrize("kind", ["soft", "binary"])
+def test_separate_ideal_memory_grows_little_per_input_second(kind):
+    # beside what separate holds whole, both stems' magnitudes (0.5 MB per
+    # second together); each block's mask is built from its own bins
+    rng = np.random.default_rng(4)
+    peaks = {}
+    for seconds in (10, 40):
+        v, m = (Waveform(0.3 * rng.standard_normal(seconds * TARGET_RATE), TARGET_RATE)
+                for _ in range(2))
+        mix = Waveform(v.samples + m.samples, TARGET_RATE)
+        tracemalloc.start()
+        try:
+            separate_ideal(mix, v, m, kind=kind)
+            peaks[seconds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_second = (peaks[40] - peaks[10]) / 30
+    assert per_second < 1.7 * 2**20
+
+
 def test_evaluate_report_consistency(tiny_corpus):
     ckpt = fresh_ckpt()
     report = evaluate(ckpt, tiny_corpus, filter_len=16, split="test")
@@ -295,6 +316,28 @@ def test_evaluate_parallel_matches_serial(tiny_corpus):
         assert len(serial.clips) == 4
         assert parallel.clips == serial.clips
         assert (parallel.vocal, parallel.music) == (serial.vocal, serial.music)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluate_restores_lapack_threads(workers, lapack_threads, tiny_corpus):
+    get, set_ = lapack_threads
+    set_(2)
+    evaluate_ideal(tiny_corpus, filter_len=16, workers=workers)
+    assert get() == 2
+
+
+@pytest.mark.skipif((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count()) < 2, reason="needs 2 usable CPUs")
+def test_evaluate_ideal_scores_do_not_depend_on_lapack_threads(lapack_threads,
+                                                               tiny_corpus):
+    # a threaded Cholesky of the 1024-row joint system rounds differently
+    # for each thread count; scoring factors on one thread whatever the caller set
+    _, set_ = lapack_threads
+    reports = []
+    for threads in (1, 2):
+        set_(threads)
+        reports.append(evaluate_ideal(tiny_corpus, kind="binary", filter_len=512))
+    assert reports[0].clips == reports[1].clips
 
 
 def test_evaluate_empty_split_raises(tmp_path, tiny_corpus):
