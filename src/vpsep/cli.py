@@ -97,11 +97,8 @@ def _cmd_evaluate(args) -> int:
             workers=config.workers, split=args.split,
         )
     else:
-        if args.checkpoint is None:
-            raise VpsepError("evaluate needs --checkpoint (or --ideal)")
-        ckpt = checkpoint_load(args.checkpoint)
         report = evaluate(
-            ckpt, manifest, filter_len=config.filter_len,
+            checkpoint_load(args.checkpoint), manifest, filter_len=config.filter_len,
             workers=config.workers, split=args.split,
         )
     if report.skipped:
@@ -163,14 +160,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_separate)
 
     p = sub.add_parser("evaluate", help="score a model over a corpus split")
-    p.add_argument("--checkpoint", default=None)
+    scored = p.add_mutually_exclusive_group(required=True)
+    scored.add_argument("--checkpoint", default=None)
+    scored.add_argument("--ideal", choices=("soft", "binary"), default=None,
+                        help="score the oracle mask instead of a checkpoint")
     p.add_argument("--data", required=True, help="corpus root directory")
     p.add_argument("--config", default=None, help="key = value settings file")
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.add_argument("--filter-len", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--ideal", choices=("soft", "binary"), default=None,
-                   help="score the oracle mask instead of a checkpoint")
     p.add_argument("--out", default=None, help="also write the summary table here")
     p.add_argument("--per-clip", default=None, help="write per-clip metrics here")
     p.set_defaults(func=_cmd_evaluate)

@@ -1,5 +1,6 @@
-"""Clip corpus handling: manifest I/O, synthetic stem generation, and
-frame extraction for training.
+"""Clip corpus handling: manifest I/O, synthetic stem generation, and the
+normalized spectra of training clips.  Encoding them for a model is the
+caller's part (``pipeline._codec``).
 
 A corpus lives under one root directory:
 
@@ -27,14 +28,10 @@ from .audio import (
     wav_write,
     _atomic_write,
 )
-from .config import ExperimentConfig
 from .errors import AudioError, DatasetError, check_int
-from .transform import (
-    color_encode,
-    normalize,
-    window_encode,
-    window_stack,
-)
+from .transform import MagnitudeMatrix, normalize
+# not called here, kept only because the benchmark's tracer wraps them here
+from .transform import color_encode, window_encode
 
 MANIFEST_NAME = "manifest.tsv"
 MANIFEST_HEADER = ("clip_id", "split", "duration")
@@ -227,38 +224,24 @@ def load_clip_mixture(entry: ClipEntry) -> Waveform:
     return Waveform(vocal.samples + music.samples, vocal.sample_rate)
 
 
-def clip_training_frames(entry: ClipEntry, config: ExperimentConfig):
-    """Encoded (input, target) column blocks for one clip.
-
-    Inputs are the encoded mixture magnitudes; targets stack the encoded
-    vocal magnitudes over the encoded music magnitudes. All three spectra
-    share the mixture's normalization scale so the sources stay comparable.
-    """
+def clip_spectra(entry: ClipEntry) -> tuple[MagnitudeMatrix, MagnitudeMatrix,
+                                             MagnitudeMatrix]:
+    """Normalized mixture, vocal and music magnitudes of one clip.  All
+    three share the mixture's scale so the sources stay comparable."""
     vocal, music = load_clip_stems(entry)
     mix = Waveform(vocal.samples + music.samples, vocal.sample_rate)
-    spec_mix = stft(mix)
-    norm_mix = normalize(spec_mix.magnitude())
-    norm_voc = normalize(stft(vocal).magnitude(), scale=norm_mix.scale)
-    norm_mus = normalize(stft(music).magnitude(), scale=norm_mix.scale)
-
-    if config.transform == "color":
-        n = config.color_n
-        x = color_encode(norm_mix, n)
-        v, m = color_encode(norm_voc, n), color_encode(norm_mus, n)
-    elif config.transform == "window" and config.kind == "vp":
-        x = window_encode(norm_mix)
-        v, m = window_encode(norm_voc), window_encode(norm_mus)
-    else:
-        x = window_stack(norm_mix) if config.transform == "window" else norm_mix.data
-        v, m = norm_voc.data, norm_mus.data
-    return x, np.concatenate([v, m], axis=-2)
+    norm_mix = normalize(stft(mix).magnitude())
+    return (norm_mix, normalize(stft(vocal).magnitude(), scale=norm_mix.scale),
+            normalize(stft(music).magnitude(), scale=norm_mix.scale))
 
 
-def load_training_frames(manifest: DatasetManifest, config: ExperimentConfig):
+def load_training_frames(manifest: DatasetManifest, encode):
     """All training-split frames concatenated along columns, clip order.
 
-    Planes keep the column-major order of the STFT, so that gathering a
-    minibatch of frames copies contiguous columns.
+    ``encode(mix, vocal, music) -> (x, t)`` turns a clip's spectra (see
+    ``clip_spectra``) into its input and target column blocks.  Planes keep
+    the column-major order of the STFT, so that gathering a minibatch of
+    frames copies contiguous columns.
     """
     train = manifest.train_clips
     if not train:
@@ -266,7 +249,7 @@ def load_training_frames(manifest: DatasetManifest, config: ExperimentConfig):
     xs, ts = [], []
     for entry in train:
         try:
-            x, t = clip_training_frames(entry, config)
+            x, t = encode(*clip_spectra(entry))
         except AudioError as e:  # e.g. a clip shorter than one window
             raise DatasetError(f"clip {entry.clip_id!r}: {e}") from e
         xs.append(x)

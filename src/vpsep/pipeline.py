@@ -123,15 +123,27 @@ def _check_fit(model, sizes: list[int]) -> None:
 # --- training ---------------------------------------------------------------
 
 
-def _encode_input(ckpt_like, norm: MagnitudeMatrix):
-    transform, kind = ckpt_like.transform, ckpt_like.kind
+def _codec(model: str, n: float):
+    """The input encoder, target encoder and decoder of ``model`` with ramp
+    bias ``n``.  Encoders take normalized magnitudes; the decoder takes a
+    network output and returns normalized magnitudes."""
+    # built per call, not tabled at import: the benchmark's tracer swaps these names while it runs
+    kind, transform = MODEL_SPECS[model]["kind"], MODEL_SPECS[model]["transform"]
     if transform == "color":
-        return color_encode(norm, ckpt_like.color_n)
-    if transform == "window" and kind == "vp":
-        return window_encode(norm)
-    if transform == "window":
-        return window_stack(norm)
-    return norm.data
+        encode = lambda s: color_encode(s, n)
+        return encode, encode, lambda y: color_decode(y, n)
+    if kind == "vp":
+        return window_encode, window_encode, window_decode
+    plain = lambda s: s.data
+    return (window_stack if transform == "window" else plain), plain, MagnitudeMatrix
+
+
+def _clip_encoder(model: str, n: float):
+    """``(mix, vocal, music) -> (x, t)`` for ``load_training_frames``: the
+    encoded mixture, and the encoded vocal stacked over the encoded music."""
+    encode, encode_target, _ = _codec(model, n)
+    return lambda mix, vocal, music: (
+        encode(mix), np.concatenate([encode_target(vocal), encode_target(music)], axis=-2))
 
 
 def _engine(kind: str):
@@ -139,15 +151,6 @@ def _engine(kind: str):
     if kind == "vp":
         return vp_forward, vp_backward
     return real_forward, real_backward
-
-
-def _decode_output(ckpt: ModelCheckpoint, y, scale: float) -> np.ndarray:
-    """Network output back to raw magnitude rows (vocal stacked on music)."""
-    if ckpt.kind == "real":
-        return y * scale  # an expit output: already float64 in [0, 1]
-    if ckpt.transform == "color":
-        return color_decode(y, ckpt.color_n).data * scale
-    return window_decode(y).data * scale
 
 
 def train(config: ExperimentConfig, manifest: DatasetManifest,
@@ -159,7 +162,7 @@ def train(config: ExperimentConfig, manifest: DatasetManifest,
                        seed=[config.seed, 0])
     forward, backward = _engine(net.kind)
 
-    x_all, t_all = load_training_frames(manifest, config)
+    x_all, t_all = load_training_frames(manifest, _clip_encoder(config.model, config.color_n))
     n_frames = x_all.shape[-1]
     shuffle_rng = np.random.default_rng([config.seed, 1])
     state = adam_init([net.params], lr=config.lr)
@@ -260,6 +263,7 @@ def separate(ckpt: ModelCheckpoint, mix: Waveform) -> tuple[Waveform, Waveform]:
     context-3 models see one more frame on each side of a block, so a
     block's output is that of the whole-clip network."""
     forward, _ = _engine(ckpt.kind)
+    encode, _, decode = _codec(ckpt.model, ckpt.color_n)
     halo = ckpt.context // 2
 
     def masks_of(spec):
@@ -271,8 +275,8 @@ def separate(ckpt: ModelCheckpoint, mix: Waveform) -> tuple[Waveform, Waveform]:
         def block(lo, hi):
             a, b = max(lo - halo, 0), min(hi + halo, t)
             norm = normalize(np.abs(spec.bins[:, a:b]), scale)
-            y = forward(ckpt.network, _encode_input(ckpt, norm))[0]
-            mags = _decode_output(ckpt, y[..., lo - a:hi - a], scale)
+            y = forward(ckpt.network, encode(norm))[0]
+            mags = decode(y[..., lo - a:hi - a]).data * scale
             return soft_mask(mags[:N_BINS], mags[N_BINS:])
         return block
     return _masked_split(resample_to_16k(mix), masks_of)

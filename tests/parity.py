@@ -2,12 +2,13 @@
 
 Trains CVPNN, WVPNN, DNN1 and DNN3 at 64x2 for 2 epochs with seed 0 on
 ``synth_dataset(seed=0)`` and prints, per model, the J history as
-``float.hex`` and the sha256 of the saved checkpoint.  For the trained
-CVPNN and DNN1 and for the soft and binary ideal masks it also prints
-every test clip's SDR, SIR, SAR and mixture SDR as ``float.hex`` at
-``filter_len`` 512 and 32, and the sha256 of the vocal and music stems
-that ``separate``/``separate_ideal`` give for the first test clip.  Run
-it once per version and compare the outputs::
+``float.hex``, the sha256 of the saved checkpoint and the sha256 of the
+vocal and music stems that ``separate`` gives for the first test clip.
+For the trained CVPNN and DNN1 and for the soft and binary ideal masks
+it also prints every test clip's SDR, SIR, SAR and mixture SDR as
+``float.hex`` at ``filter_len`` 512 and 32; the ideal masks print the
+stems of ``separate_ideal`` for the first test clip as well.  Run it
+once per version and compare the outputs::
 
     PYTHONPATH=old/src python tests/parity.py > old.txt
     PYTHONPATH=new/src python tests/parity.py > new.txt
@@ -128,8 +129,8 @@ def run() -> int:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{model} J {' '.join(j.hex() for j in history)}")
             print(f"{model} sha256 {digest}")
+            print_stems(f"{model} {clip.clip_id}", separate(ckpt, mix))
             if model in EVALUATED:
-                print_stems(f"{model} {clip.clip_id}", separate(ckpt, mix))
                 for flen in FILTER_LENS:
                     print_evaluation(f"{model} filter_len={flen}",
                                      evaluate(ckpt, manifest, filter_len=flen))

@@ -232,9 +232,18 @@ def test_evaluate_ideal_mask(cli_env, capsys):
 
 
 def test_evaluate_requires_checkpoint_or_ideal(cli_env, capsys):
-    code, out, err = run(capsys, "evaluate", "--data", str(cli_env["data"]))
-    assert code == 1
-    assert "needs --checkpoint" in err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evaluate", "--data", str(cli_env["data"])])
+    assert exit_info.value.code == 2
+    assert "one of the arguments --checkpoint --ideal is required" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_checkpoint_with_ideal(cli_env, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evaluate", "--checkpoint", str(cli_env["ckpt"]), "--ideal", "soft",
+              "--data", str(cli_env["data"])])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_evaluate_train_split(cli_env, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vpsep import (
+    MODELS,
     N_BINS,
     TARGET_RATE,
     ClipEntry,
@@ -19,13 +20,15 @@ from vpsep import (
     write_manifest,
 )
 from vpsep.dataset import (
-    clip_training_frames,
+    clip_spectra,
     load_clip_mixture,
     load_clip_stems,
     load_training_frames,
     make_batches,
 )
 from vpsep.errors import DatasetError
+from vpsep.pipeline import _clip_encoder, _codec
+from vpsep.transform import COLOR_N
 
 
 def test_synth_writes_expected_tree(tmp_path):
@@ -229,10 +232,14 @@ def expected_frames(entry):
     return 1 + (n - 1024) // 256
 
 
+def clip_frames(entry, model):
+    """One clip's (input, target) blocks, encoded as training encodes them."""
+    return _clip_encoder(model, COLOR_N)(*clip_spectra(entry))
+
+
 def test_color_frames_shapes_and_range(tiny_corpus):
-    cfg = ExperimentConfig(model="CVPNN")
     entry = tiny_corpus.train_clips[0]
-    x, t = clip_training_frames(entry, cfg)
+    x, t = clip_frames(entry, "CVPNN")
     frames = expected_frames(entry)
     assert x.shape == (3, N_BINS, frames)
     assert t.shape == (3, 2 * N_BINS, frames)
@@ -241,8 +248,7 @@ def test_color_frames_shapes_and_range(tiny_corpus):
 
 
 def test_window_vp_frames_shapes(tiny_corpus):
-    cfg = ExperimentConfig(model="WVPNN")
-    x, t = clip_training_frames(tiny_corpus.train_clips[0], cfg)
+    x, t = clip_frames(tiny_corpus.train_clips[0], "WVPNN")
     assert x.shape[:2] == (3, N_BINS)
     assert t.shape[:2] == (3, 2 * N_BINS)
     # middle plane carries the frame itself; neighbors are shifts of it
@@ -251,35 +257,48 @@ def test_window_vp_frames_shapes(tiny_corpus):
 
 
 def test_window_real_frames_shapes(tiny_corpus):
-    cfg = ExperimentConfig(model="DNN3")
-    x, t = clip_training_frames(tiny_corpus.train_clips[0], cfg)
+    x, t = clip_frames(tiny_corpus.train_clips[0], "DNN3")
     assert x.ndim == 2 and x.shape[0] == 3 * N_BINS
     assert t.ndim == 2 and t.shape[0] == 2 * N_BINS
 
 
 def test_plain_frames_shapes(tiny_corpus):
-    cfg = ExperimentConfig(model="DNN1")
-    x, t = clip_training_frames(tiny_corpus.train_clips[0], cfg)
+    x, t = clip_frames(tiny_corpus.train_clips[0], "DNN1")
     assert x.shape[0] == N_BINS
     assert t.shape[0] == 2 * N_BINS
     assert x.max() == 1.0  # normalized by the clip's own maximum
 
 
-def test_targets_share_mixture_scale(tiny_corpus):
-    cfg = ExperimentConfig(model="DNN1")
+@pytest.mark.parametrize("model", MODELS)
+def test_codec_widths_match_network_sizes(model, tiny_corpus):
+    config = ExperimentConfig(model=model)
+    sizes = config.network_sizes(N_BINS)
+    lead = (3,) if config.kind == "vp" else ()
     entry = tiny_corpus.train_clips[0]
-    x, t = clip_training_frames(entry, cfg)
+    x, t = clip_frames(entry, model)
+    assert x.shape[:-1] == lead + (sizes[0],)
+    assert t.shape[:-1] == lead + (sizes[-1],)
+    # the decoder reads a target block back as vocal over music magnitudes
+    _, vocal, music = clip_spectra(entry)
+    decode = _codec(model, COLOR_N)[2]
+    np.testing.assert_allclose(decode(t).data, np.concatenate([vocal.data, music.data]),
+                               rtol=0, atol=1e-15)
+
+
+def test_targets_share_mixture_scale(tiny_corpus):
+    entry = tiny_corpus.train_clips[0]
+    _, t = clip_frames(entry, "DNN1")
     vocal, music = load_clip_stems(entry)
     mix = Waveform(vocal.samples + music.samples, TARGET_RATE)
     scale = normalize(stft(mix).magnitude()).scale
+    assert all(s.scale == scale for s in clip_spectra(entry))
     want_voc = np.clip(stft(vocal).magnitude() / scale, 0.0, 1.0)
     assert np.array_equal(t[:N_BINS], want_voc)
 
 
 def test_load_training_frames_concatenates_clips(tiny_corpus):
-    cfg = ExperimentConfig(model="CVPNN")
-    x_all, t_all = load_training_frames(tiny_corpus, cfg)
-    per_clip = [clip_training_frames(c, cfg)[0] for c in tiny_corpus.train_clips]
+    x_all, t_all = load_training_frames(tiny_corpus, _clip_encoder("CVPNN", COLOR_N))
+    per_clip = [clip_frames(c, "CVPNN")[0] for c in tiny_corpus.train_clips]
     want_cols = sum(p.shape[-1] for p in per_clip)
     assert x_all.shape[-1] == want_cols
     assert t_all.shape[-1] == want_cols
@@ -291,7 +310,7 @@ def test_load_training_frames_requires_training_split(tmp_path):
     root.mkdir()
     m = DatasetManifest(root, (ClipEntry("only", "test", 1.0, root),))
     with pytest.raises(DatasetError, match="training"):
-        load_training_frames(m, ExperimentConfig())
+        load_training_frames(m, _clip_encoder("CVPNN", COLOR_N))
 
 
 def test_load_training_frames_names_a_clip_shorter_than_one_window(tmp_path):
@@ -302,7 +321,7 @@ def test_load_training_frames_names_a_clip_shorter_than_one_window(tmp_path):
         wav_write(path, Waveform(np.zeros(800), TARGET_RATE))
     m = DatasetManifest(tmp_path, m.clips + (short,))
     with pytest.raises(DatasetError, match="clip 'short': signal of 800 samples"):
-        load_training_frames(m, ExperimentConfig(model="DNN1"))
+        load_training_frames(m, _clip_encoder("DNN1", COLOR_N))
 
 
 def test_make_batches_covers_every_frame_once():
@@ -334,7 +353,8 @@ def test_build_training_set_deterministic(tiny_corpus):
     cfg = ExperimentConfig(model="CVPNN", batch_frames=16, seed=4)
 
     def one_pass():
-        x_all, t_all = load_training_frames(tiny_corpus, cfg)
+        x_all, t_all = load_training_frames(tiny_corpus,
+                                            _clip_encoder(cfg.model, cfg.color_n))
         return list(make_batches(x_all, t_all, cfg.batch_frames,
                                  np.random.default_rng([cfg.seed, 1])))
 

@@ -109,6 +109,27 @@ def test_train_divergence_reported(tiny_corpus, monkeypatch):
         train(small_cfg(epochs=1), tiny_corpus)
 
 
+@pytest.mark.parametrize("model, encoder", [("CVPNN", "color_encode"),
+                                            ("WVPNN", "window_encode")])
+def test_codec_calls_go_through_pipeline_names(model, encoder, tiny_corpus, monkeypatch):
+    # the benchmark's tracer counts the codec where pipeline looks it up, so
+    # training and separation must both look it up there on every call
+    calls = {}
+    for name in ("color_encode", "window_encode", "color_decode"):
+        def counted(*args, _fn=getattr(pipeline, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(pipeline, name, counted)
+    train(small_cfg(model=model, hidden_width=8, hidden_layers=1, epochs=1), tiny_corpus)
+    assert calls == {encoder: 3 * len(tiny_corpus.train_clips)}  # mixture, vocal, music
+    calls.clear()
+    monkeypatch.setattr(pipeline, "_BLOCK_FRAMES", 32)  # 3 blocks of the 80 frames
+    separate(fresh_ckpt(model=model, width=8, layers=1),
+             load_clip_mixture(tiny_corpus.test_clips[0]))
+    assert calls == ({"color_encode": 3, "color_decode": 3} if model == "CVPNN"
+                     else {"window_encode": 3})
+
+
 def test_separate_preserves_length_and_sum(tiny_corpus):
     ckpt = fresh_ckpt()
     mix = load_clip_mixture(tiny_corpus.test_clips[0])
