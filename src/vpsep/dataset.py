@@ -1,6 +1,8 @@
 """Clip corpus handling: manifest I/O, synthetic stem generation, and the
-normalized spectra of training clips.  Encoding them for a model is the
-caller's part (``pipeline._codec``).
+normalized magnitudes of training clips, held in one buffer of 3 x 513
+float64 per frame (12.3 KB).  Minibatches are encoded for a model only
+when they are drawn, by the encoders the caller passes
+(``pipeline._codec``).
 
 A corpus lives under one root directory:
 
@@ -20,8 +22,10 @@ import numpy as np
 from scipy import signal
 
 from .audio import (
+    N_BINS,
     TARGET_RATE,
     Waveform,
+    n_frames_for,
     resample_to_16k,
     stft,
     wav_read,
@@ -29,7 +33,7 @@ from .audio import (
     _atomic_write,
 )
 from .errors import AudioError, DatasetError, check_int
-from .transform import MagnitudeMatrix, normalize
+from .transform import MagnitudeMatrix, context_columns, normalize
 # not called here, kept only because the benchmark's tracer wraps them here
 from .transform import color_encode, window_encode
 
@@ -235,34 +239,64 @@ def clip_spectra(entry: ClipEntry) -> tuple[MagnitudeMatrix, MagnitudeMatrix,
             normalize(stft(music).magnitude(), scale=norm_mix.scale))
 
 
-def load_training_frames(manifest: DatasetManifest, encode):
-    """All training-split frames concatenated along columns, clip order.
+def _of_clip(entry: ClipEntry, fn):
+    """``fn(entry)``; an ``AudioError``, such as a clip shorter than one
+    window, is raised as a ``DatasetError`` that names the clip."""
+    try:
+        return fn(entry)
+    except AudioError as e:
+        raise DatasetError(f"clip {entry.clip_id!r}: {e}") from e
 
-    ``encode(mix, vocal, music) -> (x, t)`` turns a clip's spectra (see
-    ``clip_spectra``) into its input and target column blocks.  Planes keep
-    the column-major order of the STFT, so that gathering a minibatch of
-    frames copies contiguous columns.
+
+def load_training_frames(manifest: DatasetManifest) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized magnitudes of every training-split frame, clip after
+    clip, and each frame's neighbours within its clip.
+
+    Returns ``(mags, context)``.  ``mags`` is a (3 * N_BINS, N) float64
+    array whose columns are a frame's mixture, vocal and music magnitudes
+    (see ``clip_spectra``), one over the other; each column is contiguous
+    in memory, so a minibatch gathers whole columns.  ``context`` is the
+    (3, N) previous, own and next frame index of each frame, clamped to
+    the frame's own clip: a clip's first and last frames stand in for
+    their missing neighbours, as ``window_encode`` has them.
+
+    The buffer is sized first, from one stem per clip and without an STFT,
+    and then filled clip by clip, so that it is the only whole-split array.
     """
     train = manifest.train_clips
     if not train:
         raise DatasetError("manifest has no training clips")
-    xs, ts = [], []
-    for entry in train:
-        try:
-            x, t = encode(*clip_spectra(entry))
-        except AudioError as e:  # e.g. a clip shorter than one window
-            raise DatasetError(f"clip {entry.clip_id!r}: {e}") from e
-        xs.append(x)
-        ts.append(t)
-    return np.concatenate(xs, axis=-1), np.concatenate(ts, axis=-1)
+    def n_frames(entry):  # from one stem's length, with no STFT
+        return n_frames_for(len(resample_to_16k(wav_read(entry.vocal_path))))
+
+    counts = [_of_clip(entry, n_frames) for entry in train]
+    total = sum(counts)
+    mags = np.empty((total, 3 * N_BINS)).T
+    context = np.empty((3, total), dtype=np.intp)
+    lo = 0
+    for entry, count in zip(train, counts):
+        hi = lo + count
+        for k, spectrum in enumerate(_of_clip(entry, clip_spectra)):
+            mags[k * N_BINS:(k + 1) * N_BINS, lo:hi] = spectrum.data
+        context[:, lo:hi] = lo + context_columns(count)
+        lo = hi
+    return mags, context
 
 
-def make_batches(x_all, t_all, batch_frames: int, rng: np.random.Generator):
-    """Shuffle frame columns and yield minibatches (last one ragged), each
-    a C-ordered copy made when it is reached.  The permutation is drawn on
-    the first ``next()``."""
-    order = rng.permutation(x_all.shape[-1])
+def make_batches(mags: np.ndarray, context: np.ndarray, batch_frames: int,
+                 rng: np.random.Generator, encode, encode_target):
+    """Shuffle the frames of ``load_training_frames``'s ``(mags, context)``
+    and yield encoded minibatches ``(x, t)`` (the last one ragged), each
+    encoded when it is reached.  The permutation is drawn on the first
+    ``next()``.
+
+    ``encode(s, cols)`` encodes the mixture and ``encode_target(s, cols)``
+    the vocal magnitudes stacked over the music ones, where ``s`` is a
+    ``MagnitudeMatrix`` over every stored frame and ``cols`` the (3, T)
+    context columns of the batch's frames.
+    """
+    mix, sources = MagnitudeMatrix(mags[:N_BINS]), MagnitudeMatrix(mags[N_BINS:])
+    order = rng.permutation(mags.shape[-1])
     for start in range(0, len(order), batch_frames):
-        idx = order[start:start + batch_frames]
-        yield (np.ascontiguousarray(x_all[..., idx]),
-               np.ascontiguousarray(t_all[..., idx]))
+        cols = context[:, order[start:start + batch_frames]]
+        yield encode(mix, cols), encode_target(sources, cols)

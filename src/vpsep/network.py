@@ -16,7 +16,9 @@ its adjoint sign.
 
 All parameters live in one flat float64 buffer laid out like the
 checkpoint payload: layer by layer, W then b, each plane by plane.  The
-per-layer ``W`` and ``b`` are views into that buffer.
+per-layer ``W`` and ``b`` are views into that buffer.  A gradient has the
+same layout, and ``backward`` writes each layer's dW and db in place into
+the views of a buffer the caller may keep across steps.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ShapeMismatchError
-from .vecmat import vec_matmul
+from .vecmat import check_out, vec_matmul
 
 KINDS = ("vp", "real")
 
@@ -105,11 +107,15 @@ def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
     return activations[-1], activations
 
 
-def backward(net: Network, activations: list[np.ndarray], d_out) -> np.ndarray:
+def backward(net: Network, activations: list[np.ndarray], d_out,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Backpropagate a gradient at the output through every layer.
 
     Returns the gradient of every parameter as one flat array laid out
-    like ``net.params``.
+    like ``net.params``.  With ``out``, a C-contiguous float64 array of
+    that shape that shares no memory with the parameters, activations or
+    ``d_out``, the gradient is written there (the trainer passes one
+    buffer for all its steps); it is checked before any write.
     """
     if len(activations) != len(net.layers) + 1:
         raise ShapeMismatchError("activations do not match this network")
@@ -119,7 +125,8 @@ def backward(net: Network, activations: list[np.ndarray], d_out) -> np.ndarray:
             f"{activations[-1].shape}"
         )
     product, sign = net.product()
-    grad = np.empty_like(net.params)
+    grad = (np.empty_like(net.params) if out is None
+            else check_out(out, net.params.shape, net.params, d_out, *activations))
     d_layers = net.views(grad)
     da = d_out
     for k in range(len(net.layers) - 1, -1, -1):
@@ -128,7 +135,8 @@ def backward(net: Network, activations: list[np.ndarray], d_out) -> np.ndarray:
         g = np.multiply(da, a)  # sigmoid adjoint (da * a) * (1 - a), in place
         g *= 1.0 - a
         np.sum(g, axis=-1, keepdims=True, out=db)
-        np.multiply(product(g, a_prev.swapaxes(-1, -2)), sign, out=dw)
+        product(g, a_prev.swapaxes(-1, -2), out=dw)
+        dw *= sign  # exact, so the same bits as negating a fresh product
         if k > 0:
             da = product(net.layers[k][0].swapaxes(-1, -2), g)
             da *= sign

@@ -125,25 +125,21 @@ def _check_fit(model, sizes: list[int]) -> None:
 
 def _codec(model: str, n: float):
     """The input encoder, target encoder and decoder of ``model`` with ramp
-    bias ``n``.  Encoders take normalized magnitudes; the decoder takes a
-    network output and returns normalized magnitudes."""
+    bias ``n``.  Encoders take normalized magnitudes and, for a minibatch,
+    the (3, T) previous, own and next column of each frame to encode
+    (``make_batches``); without columns they encode every frame.  The
+    decoder takes a network output and returns normalized magnitudes."""
     # built per call, not tabled at import: the benchmark's tracer swaps these names while it runs
     kind, transform = MODEL_SPECS[model]["kind"], MODEL_SPECS[model]["transform"]
     if transform == "color":
-        encode = lambda s: color_encode(s, n)
+        encode = lambda s, cols=None: color_encode(s, n, None if cols is None else cols[1])
         return encode, encode, lambda y: color_decode(y, n)
     if kind == "vp":
         return window_encode, window_encode, window_decode
-    plain = lambda s: s.data
+    # np.take would first copy the whole strided store; an index copies only the batch
+    plain = lambda s, cols=None: (s.data if cols is None
+                                  else np.ascontiguousarray(s.data[:, cols[1]]))
     return (window_stack if transform == "window" else plain), plain, MagnitudeMatrix
-
-
-def _clip_encoder(model: str, n: float):
-    """``(mix, vocal, music) -> (x, t)`` for ``load_training_frames``: the
-    encoded mixture, and the encoded vocal stacked over the encoded music."""
-    encode, encode_target, _ = _codec(model, n)
-    return lambda mix, vocal, music: (
-        encode(mix), np.concatenate([encode_target(vocal), encode_target(music)], axis=-2))
 
 
 def _engine(kind: str):
@@ -156,22 +152,26 @@ def _engine(kind: str):
 def train(config: ExperimentConfig, manifest: DatasetManifest,
           on_epoch=None) -> tuple[ModelCheckpoint, list[float]]:
     """Minibatch Adam on the summed squared reconstruction error of both
-    encoded sources. Returns the trained checkpoint and the per-epoch
-    history of mean loss per frame."""
+    encoded sources.  The split is held as magnitudes, and each minibatch
+    is encoded when it is drawn.  Returns the trained checkpoint and the
+    per-epoch history of mean loss per frame."""
     net = init_network(config.kind, config.network_sizes(N_BINS),
                        seed=[config.seed, 0])
     forward, backward = _engine(net.kind)
+    encode, encode_target, _ = _codec(config.model, config.color_n)
 
-    x_all, t_all = load_training_frames(manifest, _clip_encoder(config.model, config.color_n))
-    n_frames = x_all.shape[-1]
+    mags, context = load_training_frames(manifest)
+    n_frames = mags.shape[-1]
     shuffle_rng = np.random.default_rng([config.seed, 1])
     state = adam_init([net.params], lr=config.lr)
+    grad = np.empty_like(net.params)  # every step's gradient, written in place
 
     history: list[float] = []
     for epoch in range(config.epochs):
         total_j = 0.0
         for batch_i, (x, target) in enumerate(
-            make_batches(x_all, t_all, config.batch_frames, shuffle_rng)
+            make_batches(mags, context, config.batch_frames, shuffle_rng,
+                         encode, encode_target)
         ):
             y, cache = forward(net, x)
             j, d_y = loss_j(y, target)
@@ -179,7 +179,7 @@ def train(config: ExperimentConfig, manifest: DatasetManifest,
                 raise TrainingDivergedError(
                     f"loss became {j} at epoch {epoch}, batch {batch_i}"
                 )
-            grad = backward(net, cache, d_y)
+            backward(net, cache, d_y, out=grad)
             adam_step([net.params], [grad], state)
             total_j += j
         mean_j = total_j / n_frames

@@ -1,9 +1,11 @@
 """Dimensionality transforms between real magnitudes and 3-vector inputs.
 
-Vector encodings are ``(3, F, T)`` arrays of column-major planes, one per
-component.  The context-window encoder packs the previous/current/next
-spectrogram frame of each t-f cell into a vector; its decoder reads back
-the middle component, which must lie in [0, 1].  The color encoder
+Vector encodings are ``(3, F, T)`` arrays, one plane per component.  An
+encoder encodes every frame of a magnitude matrix, or only the frames a
+minibatch picks (its ``cols``); the two share one body.  The
+context-window encoder packs the previous/current/next spectrogram frame
+of each t-f cell into a vector; its decoder reads back the middle
+component, which must lie in [0, 1].  The color encoder
 maps each normalized magnitude onto an RGB ramp (the piecewise-linear
 limit of a hot colormap); its decoder projects an arbitrary RGB triple
 back onto that curve, which for on-curve points is the exact inverse.
@@ -63,23 +65,41 @@ def normalize(mag: np.ndarray, scale: float | None = None) -> MagnitudeMatrix:
     return MagnitudeMatrix(np.clip(mag / scale, 0.0, 1.0), scale)
 
 
-def _planes_like(x: np.ndarray) -> np.ndarray:
-    """Uninitialised (3, *x.shape) array of column-major planes, the
-    memory order of STFT magnitudes (encoding them is no transposing pass)."""
-    return np.empty((3,) + x.shape[::-1]).swapaxes(-1, -2)
+def context_columns(n_frames: int) -> np.ndarray:
+    """The previous, own and next frame index of each of ``n_frames``
+    frames, as a (3, n_frames) array; the first and last frames stand in
+    for their missing neighbours."""
+    own = np.arange(n_frames)
+    return np.stack([np.maximum(own - 1, 0), own, np.minimum(own + 1, n_frames - 1)])
 
 
-def window_encode(s: MagnitudeMatrix) -> np.ndarray:
+def _planes(rows: int, n_frames: int, cols) -> np.ndarray:
+    """Uninitialised planes for an encoding of ``rows`` bins.  Encoding
+    all ``n_frames`` frames (``cols`` None) gives column-major planes, the
+    memory order of STFT magnitudes, so that encoding them is no
+    transposing pass; a minibatch of picked frames is C-ordered, the
+    order the networks are trained in."""
+    if cols is None:
+        return np.empty((3, n_frames, rows)).swapaxes(-1, -2)
+    return np.empty((3, rows, np.shape(cols)[-1]))
+
+
+def window_encode(s: MagnitudeMatrix, cols=None) -> np.ndarray:
     """Context-window encoding as a (3, F, T) array: planes are the
-    previous, current, and subsequent frames; first/last frames replicate
-    the edge."""
+    previous, current, and subsequent frames.
+
+    ``cols`` is a (3, T) array of the previous, own and next frame index
+    of each frame to encode; by default every frame is encoded, with the
+    first/last frames replicating the edge (``context_columns``).
+    """
     data = s.data
     if data.shape[1] < 1:
         raise ShapeMismatchError("need at least one frame column")
-    v = _planes_like(data)
-    v[0, :, :1], v[0, :, 1:] = data[:, :1], data[:, :-1]
-    v[1] = data
-    v[2, :, :-1], v[2, :, -1:] = data[:, 1:], data[:, -1:]
+    if cols is not None and (np.ndim(cols) != 2 or len(cols) != 3):
+        raise ShapeMismatchError(f"cols must have shape (3, T), got {np.shape(cols)}")
+    v = _planes(data.shape[0], data.shape[1], cols)
+    for plane, c in zip(v, context_columns(data.shape[1]) if cols is None else cols):
+        plane[...] = data[:, c]
     return v
 
 
@@ -88,19 +108,21 @@ def window_decode(v: np.ndarray) -> MagnitudeMatrix:
     return MagnitudeMatrix(v[1])
 
 
-def window_stack(s: MagnitudeMatrix) -> np.ndarray:
+def window_stack(s: MagnitudeMatrix, cols=None) -> np.ndarray:
     """Real-valued context of 3 frames stacked along frequency (3F x T),
-    the input layout of the context-3 real baseline."""
-    return np.concatenate(window_encode(s))
+    the input layout of the context-3 real baseline; ``cols`` as for
+    ``window_encode``."""
+    return np.concatenate(window_encode(s, cols))
 
 
-def color_encode(s: MagnitudeMatrix, n: float = COLOR_N) -> np.ndarray:
+def color_encode(s: MagnitudeMatrix, n: float = COLOR_N, cols=None) -> np.ndarray:
     """Map each magnitude x in [0,1] to an RGB triple on the ramp with bias
     ``n`` in (0, 0.5), as a (3, F, T) array: r = clamp(x/n),
-    g = clamp((x-n)/n), b = clamp((x-2n)/(1-2n))."""
+    g = clamp((x-n)/n), b = clamp((x-2n)/(1-2n)).  ``cols`` picks the
+    frames to encode, every frame by default."""
     check_color_n(n)
-    x = s.data
-    v = _planes_like(x)
+    x = s.data if cols is None else s.data[:, cols]
+    v = _planes(x.shape[0], x.shape[1], cols)
     np.clip(x / n, 0.0, 1.0, out=v[0])
     np.clip((x - n) / n, 0.0, 1.0, out=v[1])
     np.clip((x - 2.0 * n) / (1.0 - 2.0 * n), 0.0, 1.0, out=v[2])

@@ -27,8 +27,8 @@ from vpsep.dataset import (
     make_batches,
 )
 from vpsep.errors import DatasetError
-from vpsep.pipeline import _clip_encoder, _codec
-from vpsep.transform import COLOR_N
+from vpsep.pipeline import _codec
+from vpsep.transform import COLOR_N, MagnitudeMatrix, context_columns, window_encode
 
 
 def test_synth_writes_expected_tree(tmp_path):
@@ -233,8 +233,13 @@ def expected_frames(entry):
 
 
 def clip_frames(entry, model):
-    """One clip's (input, target) blocks, encoded as training encodes them."""
-    return _clip_encoder(model, COLOR_N)(*clip_spectra(entry))
+    """One clip's (input, target) blocks, every frame encoded at once
+    through the model's codec, as training encoded whole clips before it
+    held only magnitudes."""
+    encode, encode_target, _ = _codec(model, COLOR_N)
+    mix, vocal, music = clip_spectra(entry)
+    return encode(mix), np.concatenate([encode_target(vocal), encode_target(music)],
+                                       axis=-2)
 
 
 def test_color_frames_shapes_and_range(tiny_corpus):
@@ -297,12 +302,19 @@ def test_targets_share_mixture_scale(tiny_corpus):
 
 
 def test_load_training_frames_concatenates_clips(tiny_corpus):
-    x_all, t_all = load_training_frames(tiny_corpus, _clip_encoder("CVPNN", COLOR_N))
-    per_clip = [clip_frames(c, "CVPNN")[0] for c in tiny_corpus.train_clips]
-    want_cols = sum(p.shape[-1] for p in per_clip)
-    assert x_all.shape[-1] == want_cols
-    assert t_all.shape[-1] == want_cols
-    assert np.array_equal(x_all[..., :per_clip[0].shape[-1]], per_clip[0])
+    mags, context = load_training_frames(tiny_corpus)
+    spectra = [clip_spectra(c) for c in tiny_corpus.train_clips]
+    # each column is one frame's mixture over vocal over music magnitudes
+    want = np.concatenate([np.concatenate([s.data for s in clip]) for clip in spectra],
+                          axis=1)
+    assert mags.shape == (3 * N_BINS, want.shape[1])
+    assert mags.tobytes("F") == want.tobytes("F")
+    assert mags.T.flags.c_contiguous  # a minibatch gathers whole columns
+    # neighbours never cross a clip boundary: edge frames repeat themselves
+    sizes = [clip[0].data.shape[1] for clip in spectra]
+    assert sizes == [expected_frames(c) for c in tiny_corpus.train_clips]
+    assert np.array_equal(context, np.concatenate(
+        [lo + context_columns(n) for lo, n in zip(np.cumsum([0] + sizes), sizes)], axis=1))
 
 
 def test_load_training_frames_requires_training_split(tmp_path):
@@ -310,7 +322,7 @@ def test_load_training_frames_requires_training_split(tmp_path):
     root.mkdir()
     m = DatasetManifest(root, (ClipEntry("only", "test", 1.0, root),))
     with pytest.raises(DatasetError, match="training"):
-        load_training_frames(m, _clip_encoder("CVPNN", COLOR_N))
+        load_training_frames(m)
 
 
 def test_load_training_frames_names_a_clip_shorter_than_one_window(tmp_path):
@@ -321,42 +333,81 @@ def test_load_training_frames_names_a_clip_shorter_than_one_window(tmp_path):
         wav_write(path, Waveform(np.zeros(800), TARGET_RATE))
     m = DatasetManifest(tmp_path, m.clips + (short,))
     with pytest.raises(DatasetError, match="clip 'short': signal of 800 samples"):
-        load_training_frames(m, _clip_encoder("DNN1", COLOR_N))
+        load_training_frames(m)
+
+
+def test_load_training_frames_names_a_clip_whose_stems_differ(tmp_path):
+    m = synth_dataset(tmp_path, seed=1, n_train=1, n_test=0, duration_s=0.4)
+    bad = ClipEntry("bad", "train", 1.0, tmp_path)
+    bad.clip_dir.mkdir()
+    wav_write(bad.vocal_path, Waveform(np.zeros(16000), TARGET_RATE))
+    wav_write(bad.music_path, Waveform(np.zeros(15000), TARGET_RATE))
+    with pytest.raises(DatasetError, match="clip 'bad': stem lengths differ"):
+        load_training_frames(DatasetManifest(tmp_path, m.clips + (bad,)))
+
+
+def gather(s, cols):
+    """An encoder that encodes nothing: the batch's own columns."""
+    return s.data[:, cols[1]]
 
 
 def test_make_batches_covers_every_frame_once():
-    rng = np.random.default_rng(0)
-    x = np.arange(2 * 11, dtype=np.float64).reshape(2, 11)
-    t = -x
-    batches = list(make_batches(x, t, batch_frames=4, rng=rng))
-    assert [b[0].shape[1] for b in batches] == [4, 4, 3]
-    seen = np.sort(np.concatenate([b[0][0] for b in batches]))
-    assert np.array_equal(seen, x[0])
+    mags = np.tile(np.arange(11) / 16, (3 * N_BINS, 1))  # frame k holds k / 16
+    batches = list(make_batches(mags, context_columns(11), 4, np.random.default_rng(0),
+                                gather, gather))
+    assert [b[0].shape for b in batches] == [(N_BINS, 4), (N_BINS, 4), (N_BINS, 3)]
+    frames = np.concatenate([bx[0] for bx, _ in batches]) * 16
+    assert np.array_equal(frames, np.random.default_rng(0).permutation(11))
     for bx, bt in batches:
-        assert np.array_equal(bt, -bx)
+        # the target is the same frames' vocal over music magnitudes
+        assert bt.shape == (2 * N_BINS, bx.shape[1]) and np.all(bt == bx[0])
 
 
 def test_make_batches_vecmatrix_route():
-    rng = np.random.default_rng(1)
-    x = np.stack([np.arange(10.0).reshape(1, 10) + k for k in range(3)])
-    t = x.copy()
-    batches = list(make_batches(x, t, batch_frames=6, rng=rng))
-    assert [b[0].shape for b in batches] == [(3, 1, 6), (3, 1, 4)]
-    seen = np.sort(np.concatenate([b[0][0, 0] for b in batches]))
-    assert np.array_equal(seen, x[0, 0])
-    for bx, _ in batches:
-        assert np.array_equal(bx[1] - bx[0], np.ones_like(bx[0]))
+    # window batches take each frame's neighbours through the context
+    # columns, here of a 4-frame clip followed by a 6-frame one
+    mags = np.random.default_rng(1).uniform(0, 1, (10, 3 * N_BINS)).T
+    context = np.concatenate([context_columns(4), 4 + context_columns(6)], axis=1)
+    (x, t), = make_batches(mags, context, 10, np.random.default_rng(1),
+                           window_encode, window_encode)
+    order = np.random.default_rng(1).permutation(10)
+    assert x.shape == (3, N_BINS, 10) and t.shape == (3, 2 * N_BINS, 10)
+    assert x.flags.c_contiguous and t.flags.c_contiguous
+    for k, frame in enumerate(order):
+        for plane, col in enumerate(context[:, frame]):
+            assert np.array_equal(x[plane, :, k], mags[:N_BINS, col])
+            assert np.array_equal(t[plane, :, k], mags[N_BINS:, col])
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_batches_match_whole_clip_encoding(model, tiny_corpus):
+    # encoding each minibatch from magnitudes gives the bits of encoding
+    # every clip whole, concatenating the clips and gathering the frames
+    assert len(tiny_corpus.train_clips) >= 2  # so clip edges are inside the split
+    per_clip = [clip_frames(c, model) for c in tiny_corpus.train_clips]
+    x_all, t_all = (np.concatenate(blocks, axis=-1) for blocks in zip(*per_clip))
+    encode, encode_target, _ = _codec(model, COLOR_N)
+    mags, context = load_training_frames(tiny_corpus)
+    batches = make_batches(mags, context, 16, np.random.default_rng(7), encode, encode_target)
+    order = np.random.default_rng(7).permutation(x_all.shape[-1])
+    starts = range(0, len(order), 16)
+    for start, (x, t) in zip(starts, batches, strict=True):
+        idx = order[start:start + 16]
+        for got, whole in ((x, x_all), (t, t_all)):
+            want = np.ascontiguousarray(whole[..., idx])
+            assert got.shape == want.shape and got.strides == want.strides
+            assert got.tobytes() == want.tobytes()
 
 
 def test_build_training_set_deterministic(tiny_corpus):
     # one shuffled pass of minibatches, as the trainer builds it
     cfg = ExperimentConfig(model="CVPNN", batch_frames=16, seed=4)
+    encode, encode_target, _ = _codec(cfg.model, cfg.color_n)
 
     def one_pass():
-        x_all, t_all = load_training_frames(tiny_corpus,
-                                            _clip_encoder(cfg.model, cfg.color_n))
-        return list(make_batches(x_all, t_all, cfg.batch_frames,
-                                 np.random.default_rng([cfg.seed, 1])))
+        mags, context = load_training_frames(tiny_corpus)
+        return list(make_batches(mags, context, cfg.batch_frames,
+                                 np.random.default_rng([cfg.seed, 1]), encode, encode_target))
 
     a = one_pass()
     b = one_pass()

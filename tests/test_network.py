@@ -94,6 +94,41 @@ def test_vp_forward_matches_naive_matmul_route():
         assert np.max(np.abs(fast - slow)) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["vp", "real"])
+def test_backward_out_gives_the_allocating_bytes(kind):
+    net = init_network(kind, [5, 8, 4], seed=6)
+    rng = np.random.default_rng(7)
+    lead = (3,) if kind == "vp" else ()
+    y, cache = forward(net, rng.uniform(0, 1, lead + (5, 9)))
+    d_y = 2 * (y - rng.uniform(0, 1, y.shape))
+    out = np.full_like(net.params, np.nan)
+    assert backward(net, cache, d_y, out=out) is out
+    assert out.tobytes() == backward(net, cache, d_y).tobytes()
+
+
+def test_backward_refuses_a_bad_out_before_writing():
+    net = init_network("vp", [4, 6, 3], seed=5)
+    y, acts = forward(net, np.random.default_rng(8).uniform(0, 1, (3, 4, 2)))
+    d_y = np.ones_like(y)
+    size = net.params.size
+    cases = [
+        (np.zeros(size + 1), "shape"),
+        (np.zeros(size, dtype=np.float32), "float64"),
+        (np.zeros(2 * size)[::2], "C-contiguous"),
+        # a gradient written over the weights would corrupt the very step
+        (net.params, "shares memory"),
+    ]
+    for out, match in cases:
+        before = out.tobytes()
+        with pytest.raises(ShapeMismatchError, match=match):
+            backward(net, acts, d_y, out=out)
+        assert out.tobytes() == before
+    grad = np.zeros(size)
+    with pytest.raises(ShapeMismatchError, match="shares memory"):
+        backward(net, acts, grad[:d_y.size].reshape(d_y.shape), out=grad)
+    assert not grad.any()
+
+
 def test_vp_backward_zero_upstream():
     net = init_network("vp", [3, 5, 2], seed=1)
     rng = np.random.default_rng(2)

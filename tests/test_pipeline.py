@@ -120,8 +120,12 @@ def test_codec_calls_go_through_pipeline_names(model, encoder, tiny_corpus, monk
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(pipeline, name, counted)
-    train(small_cfg(model=model, hidden_width=8, hidden_layers=1, epochs=1), tiny_corpus)
-    assert calls == {encoder: 3 * len(tiny_corpus.train_clips)}  # mixture, vocal, music
+    cfg = small_cfg(model=model, hidden_width=8, hidden_layers=1, epochs=2)
+    train(cfg, tiny_corpus)
+    # each minibatch encodes its mixture and its vocal-over-music targets;
+    # the 144 frames of the two clips make 3 minibatches of at most 64
+    assert cfg.batch_frames == 64
+    assert calls == {encoder: cfg.epochs * 3 * 2}
     calls.clear()
     monkeypatch.setattr(pipeline, "_BLOCK_FRAMES", 32)  # 3 blocks of the 80 frames
     separate(fresh_ckpt(model=model, width=8, layers=1),
@@ -269,6 +273,26 @@ def test_separate_memory_grows_little_per_input_second():
             tracemalloc.stop()
     per_second = (peaks[40] - peaks[10]) / 30
     assert per_second < 2 * 2**20
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_train_memory_grows_by_magnitudes_per_frame(model, tmp_path):
+    # the split is held as 3 x 513 float64 magnitudes per frame (12.3 KB);
+    # an encoded store would hold 36.9 KB per frame for the vector models
+    peaks, frames = {}, {}
+    for n_clips in (2, 8):
+        manifest = synth_dataset(tmp_path / str(n_clips), seed=5, n_train=n_clips,
+                                 n_test=0, duration_s=2.0)
+        cfg = small_cfg(model=model, hidden_width=8, hidden_layers=1, epochs=1)
+        tracemalloc.start()
+        try:
+            train(cfg, manifest)
+            peaks[n_clips] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        frames[n_clips] = n_clips * (1 + (2 * TARGET_RATE - 1024) // 256)
+    per_frame = (peaks[8] - peaks[2]) / (frames[8] - frames[2])
+    assert per_frame < 16 * 1024
 
 
 @pytest.mark.parametrize("kind", ["soft", "binary"])

@@ -104,6 +104,17 @@ def test_window_rejects_empty():
         window_encode(mags(np.zeros((4, 0))))
 
 
+def test_window_encodes_picked_frames_as_a_c_ordered_minibatch():
+    s = mags(np.random.default_rng(7).uniform(0, 1, (5, 6)))
+    cols = np.array([[4, 0, 1], [5, 0, 2], [5, 1, 3]])  # previous, own, next
+    v = window_encode(s, cols)
+    assert v.flags.c_contiguous
+    assert v.tobytes() == np.ascontiguousarray(window_encode(s)[..., [5, 0, 2]]).tobytes()
+    for bad in (cols[:2], cols[1]):  # every plane needs its frame index
+        with pytest.raises(ShapeMismatchError, match=r"cols must have shape \(3, T\)"):
+            window_encode(s, bad)
+
+
 def test_color_anchor_points():
     n = N_DEFAULT
     s = mags([[0.0, n, 2 * n, 1.0, n / 2]])

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from vpsep import forward, loss_j, vec_matmul
+from vpsep import N_BINS, forward, loss_j, vec_matmul, window_encode
 from vpsep.dataset import make_batches
 from vpsep.errors import ShapeMismatchError
 from vpsep.network import Network
+from vpsep.transform import context_columns
 
 from oracles import Vec3, cross, dot, vec_at, vec_matmul_naive
 
@@ -208,12 +209,48 @@ def test_vm_vstack_split_roundtrip():
 
 
 def test_vm_take_cols():
-    # minibatches pick whole frame columns, keeping every vector intact
-    rng = np.random.default_rng(12)
-    a = rand_vm(rng, 2, 6)
-    t = rand_vm(rng, 4, 6)
-    (picked, target), = make_batches(a, t, 6, np.random.default_rng(0))
+    # minibatches pick whole frame columns, keeping every vector intact: the
+    # vector at (bin, k) is that bin's previous, own and next magnitude of
+    # the k-th picked frame
+    mags = np.random.default_rng(12).uniform(0, 1, (6, 3 * N_BINS)).T
+    (picked, target), = make_batches(mags, context_columns(6), 6, np.random.default_rng(0),
+                                     window_encode, window_encode)
     order = np.random.default_rng(0).permutation(6)
-    assert picked.shape == (3, 2, 6) and target.shape == (3, 4, 6)
-    assert vec_at(picked, 1, 0) == vec_at(a, 1, order[0])
-    assert vec_at(target, 3, 5) == vec_at(t, 3, order[5])
+    assert picked.shape == (3, N_BINS, 6) and target.shape == (3, 2 * N_BINS, 6)
+    frame = order[0]
+    assert vec_at(picked, 1, 0) == Vec3(*mags[1, [max(frame - 1, 0), frame,
+                                                  min(frame + 1, 5)]])
+    frame = order[5]
+    assert vec_at(target, 3, 5) == Vec3(*mags[N_BINS + 3, [max(frame - 1, 0), frame,
+                                                           min(frame + 1, 5)]])
+
+
+def test_vec_matmul_out_gives_the_allocating_bytes():
+    rng = np.random.default_rng(13)
+    p, q = rand_vm(rng, 64, 20), rand_vm(rng, 513, 20).swapaxes(-1, -2)
+    out = np.full((3, 64, 513), np.nan)
+    assert vec_matmul(p, q, out=out) is out
+    assert out.tobytes() == vec_matmul(p, q).tobytes()
+    # each plane is fl(a - b) of two whole GEMMs, as with two temporaries
+    (p1, p2, p3), (q1, q2, q3) = p, np.ascontiguousarray(q)
+    want = np.stack([p2 @ q3 - p3 @ q2, p3 @ q1 - p1 @ q3, p1 @ q2 - p2 @ q1])
+    assert out.tobytes() == want.tobytes()
+
+
+def test_vec_matmul_refuses_a_bad_out_before_writing():
+    rng = np.random.default_rng(14)
+    p, q = rand_vm(rng, 4, 3), rand_vm(rng, 3, 5)
+    aliased = rand_vm(rng, 4, 5)
+    cases = [
+        (p, q, np.zeros((3, 5, 4)), r"shape \(3, 4, 5\)"),
+        (p, q, np.zeros((3, 4, 5), dtype=np.float32), "float64"),
+        (p, q, np.zeros((3, 5, 4)).swapaxes(-1, -2), "C-contiguous"),
+        # an out that overlaps an operand would change it while it is read
+        (aliased[..., :3], q, aliased, "shares memory"),
+        (p, aliased[:, :3], aliased, "shares memory"),
+    ]
+    for left, right, out, match in cases:
+        before = out.tobytes()
+        with pytest.raises(ShapeMismatchError, match=match):
+            vec_matmul(left, right, out=out)
+        assert out.tobytes() == before
