@@ -24,7 +24,8 @@ from .audio import (
     wav_read,
     wav_write,
 )
-from .config import MODEL_SPECS, MODELS, ExperimentConfig, make_config, read_config_file
+from .config import (MODEL_SPECS, MODELS, ExperimentConfig, ModelSpec, make_config,
+                     read_config_file)
 from .dataset import (
     ClipEntry,
     DatasetManifest,
@@ -85,8 +86,8 @@ __all__ = [
     "ClipEval", "ComplexSpectrogram", "ConfigError",
     "DatasetError", "DatasetManifest", "Decomposition", "EvalReport",
     "ExperimentConfig", "GlobalMetrics", "HOP", "MODELS", "MODEL_SPECS",
-    "MagnitudeMatrix", "MaskPair", "ModelCheckpoint", "N_BINS", "Network",
-    "ShapeMismatchError", "TARGET_RATE", "TrainingDivergedError",
+    "MagnitudeMatrix", "MaskPair", "ModelCheckpoint", "ModelSpec", "N_BINS",
+    "Network", "ShapeMismatchError", "TARGET_RATE", "TrainingDivergedError",
     "VpsepError", "Waveform", "WavFormatError", "WINDOW_LEN", "adam_init",
     "adam_step", "aggregate_global", "apply_mask_and_reconstruct",
     "backward", "bss_decompose", "checkpoint_load", "checkpoint_save",

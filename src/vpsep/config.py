@@ -10,19 +10,37 @@ from pathlib import Path
 from .errors import ConfigError, check_int
 from .transform import COLOR_N, check_color_n
 
-# model -> (network kind, default hidden width, input transform, context)
-MODEL_SPECS: dict[str, dict] = {
-    "DNN1": {"kind": "real", "width": 512, "transform": "none", "context": 1},
-    "DNN2": {"kind": "real", "width": 1536, "transform": "none", "context": 1},
-    "DNN3": {"kind": "real", "width": 1536, "transform": "window", "context": 3},
-    "WVPNN": {"kind": "vp", "width": 512, "transform": "window", "context": 3},
-    "CVPNN": {"kind": "vp", "width": 512, "transform": "color", "context": 1},
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """What a model fixes: network kind, default hidden width, input
+    transform and frame context."""
+
+    kind: str
+    width: int
+    transform: str
+    context: int
+
+    def sizes(self, hidden_width: int, hidden_layers: int, f_bins: int) -> list[int]:
+        """Layer width chain: encoded input -> hidden stack -> stacked
+        two-source output (2F).  Vector nets see context through their 3
+        vector components, real nets through context x F input rows."""
+        in_dim = self.context * f_bins if self.kind == "real" else f_bins
+        return [in_dim] + [hidden_width] * hidden_layers + [2 * f_bins]
+
+
+MODEL_SPECS: dict[str, ModelSpec] = {
+    "DNN1": ModelSpec("real", 512, "none", 1),
+    "DNN2": ModelSpec("real", 1536, "none", 1),
+    "DNN3": ModelSpec("real", 1536, "window", 3),
+    "WVPNN": ModelSpec("vp", 512, "window", 3),
+    "CVPNN": ModelSpec("vp", 512, "color", 1),
 }
 
 MODELS = tuple(MODEL_SPECS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     model: str = "CVPNN"
     hidden_width: int | None = None
@@ -41,7 +59,7 @@ class ExperimentConfig:
                 f"unknown model {self.model!r}; choose from {', '.join(MODELS)}"
             )
         if self.hidden_width is None:
-            self.hidden_width = MODEL_SPECS[self.model]["width"]
+            object.__setattr__(self, "hidden_width", self.spec.width)
         for name, low in (("hidden_width", 1), ("hidden_layers", 1),
                           ("batch_frames", 1), ("epochs", 0), ("seed", 0),
                           ("filter_len", 1), ("workers", 1)):
@@ -51,26 +69,15 @@ class ExperimentConfig:
         check_color_n(self.color_n, ConfigError)
 
     @property
-    def kind(self) -> str:
-        return MODEL_SPECS[self.model]["kind"]
-
-    @property
-    def transform(self) -> str:
-        return MODEL_SPECS[self.model]["transform"]
-
-    @property
-    def context(self) -> int:
-        return MODEL_SPECS[self.model]["context"]
+    def spec(self) -> ModelSpec:
+        return MODEL_SPECS[self.model]
 
     @property
     def arch(self) -> str:
         return f"{self.hidden_width}x{self.hidden_layers}"
 
     def network_sizes(self, f_bins: int) -> list[int]:
-        """Layer width chain: encoded input -> hidden stack -> stacked
-        two-source output (2F)."""
-        in_dim = 3 * f_bins if (self.kind == "real" and self.context == 3) else f_bins
-        return [in_dim] + [self.hidden_width] * self.hidden_layers + [2 * f_bins]
+        return self.spec.sizes(self.hidden_width, self.hidden_layers, f_bins)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}

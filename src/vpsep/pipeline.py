@@ -29,7 +29,7 @@ from .audio import (
     stft,
     _atomic_write,
 )
-from .config import MODEL_SPECS, ExperimentConfig
+from .config import MODEL_SPECS, ExperimentConfig, ModelSpec
 from .dataset import (
     ClipEntry,
     DatasetManifest,
@@ -66,8 +66,8 @@ from .transform import (
 
 @dataclass(frozen=True)
 class ModelCheckpoint:
-    """A trained (or freshly initialized) model; its input transform and
-    architecture follow from the model and the network's layer sizes."""
+    """A trained (or freshly initialized) model; its ``spec`` follows from
+    the model and its architecture from the network's layer sizes."""
 
     model: str
     color_n: float
@@ -77,8 +77,8 @@ class ModelCheckpoint:
 
     def __post_init__(self):
         _check_fit(self.model, self.sizes)
-        if self.kind != MODEL_SPECS[self.model]["kind"]:
-            raise CheckpointError(f"kind {self.kind!r} contradicts model {self.model}")
+        if self.network.kind != self.spec.kind:
+            raise CheckpointError(f"kind {self.network.kind!r} contradicts model {self.model}")
         check_color_n(_number("color_n", self.color_n, float), CheckpointError)
         if not np.all(np.isfinite(self.network.params)):
             raise CheckpointError("network parameters contain NaN or Inf")
@@ -88,16 +88,8 @@ class ModelCheckpoint:
             raise CheckpointError(f"final_j must be finite, got {self.final_j!r}")
 
     @property
-    def kind(self) -> str:
-        return self.network.kind
-
-    @property
-    def transform(self) -> str:
-        return MODEL_SPECS[self.model]["transform"]
-
-    @property
-    def context(self) -> int:
-        return MODEL_SPECS[self.model]["context"]
+    def spec(self) -> ModelSpec:
+        return MODEL_SPECS[self.model]
 
     @property
     def arch(self) -> str:
@@ -114,9 +106,8 @@ def _check_fit(model, sizes: list[int]) -> None:
     if not isinstance(model, str) or model not in MODEL_SPECS:
         raise CheckpointError(f"unknown model {model!r}")
     # the chain is taken for the stored bin count, so small test networks fit
-    if len(sizes) < 3 or min(sizes) < 1 or sizes != ExperimentConfig(
-        model=model, hidden_width=sizes[1], hidden_layers=len(sizes) - 2
-    ).network_sizes(sizes[-1] // 2):
+    if len(sizes) < 3 or min(sizes) < 1 or sizes != MODEL_SPECS[model].sizes(
+            sizes[1], len(sizes) - 2, sizes[-1] // 2):
         raise CheckpointError(f"layer sizes {sizes} do not fit {model}")
 
 
@@ -130,16 +121,16 @@ def _codec(model: str, n: float):
     (``make_batches``); without columns they encode every frame.  The
     decoder takes a network output and returns normalized magnitudes."""
     # built per call, not tabled at import: the benchmark's tracer swaps these names while it runs
-    kind, transform = MODEL_SPECS[model]["kind"], MODEL_SPECS[model]["transform"]
-    if transform == "color":
+    spec = MODEL_SPECS[model]
+    if spec.transform == "color":
         encode = lambda s, cols=None: color_encode(s, n, None if cols is None else cols[1])
         return encode, encode, lambda y: color_decode(y, n)
-    if kind == "vp":
+    if spec.kind == "vp":
         return window_encode, window_encode, window_decode
     # np.take would first copy the whole strided store; an index copies only the batch
     plain = lambda s, cols=None: (s.data if cols is None
                                   else np.ascontiguousarray(s.data[:, cols[1]]))
-    return (window_stack if transform == "window" else plain), plain, MagnitudeMatrix
+    return (window_stack if spec.transform == "window" else plain), plain, MagnitudeMatrix
 
 
 def _engine(kind: str):
@@ -155,7 +146,7 @@ def train(config: ExperimentConfig, manifest: DatasetManifest,
     encoded sources.  The split is held as magnitudes, and each minibatch
     is encoded when it is drawn.  Returns the trained checkpoint and the
     per-epoch history of mean loss per frame."""
-    net = init_network(config.kind, config.network_sizes(N_BINS),
+    net = init_network(config.spec.kind, config.network_sizes(N_BINS),
                        seed=[config.seed, 0])
     forward, backward = _engine(net.kind)
     encode, encode_target, _ = _codec(config.model, config.color_n)
@@ -262,9 +253,9 @@ def separate(ckpt: ModelCheckpoint, mix: Waveform) -> tuple[Waveform, Waveform]:
     through the network and turned into masks a block of frames at a time;
     context-3 models see one more frame on each side of a block, so a
     block's output is that of the whole-clip network."""
-    forward, _ = _engine(ckpt.kind)
+    forward, _ = _engine(ckpt.spec.kind)
     encode, _, decode = _codec(ckpt.model, ckpt.color_n)
-    halo = ckpt.context // 2
+    halo = ckpt.spec.context // 2
 
     def masks_of(spec):
         t = spec.n_frames
@@ -410,7 +401,7 @@ def evaluate(ckpt: ModelCheckpoint, manifest: DatasetManifest,
     return _run_eval(
         clips,
         lambda mix, v, m: separate(ckpt, mix),
-        filter_len, workers, ckpt.model, ckpt.arch, ckpt.context,
+        filter_len, workers, ckpt.model, ckpt.arch, ckpt.spec.context,
     )
 
 
@@ -445,11 +436,11 @@ def _header(ckpt: ModelCheckpoint) -> dict:
     sizes = ckpt.sizes
     return {
         "model": ckpt.model,
-        "kind": ckpt.kind,
+        "kind": ckpt.spec.kind,
         "hidden_width": sizes[1],
         "hidden_layers": len(sizes) - 2,
         "sizes": sizes,
-        "transform": ckpt.transform,
+        "transform": ckpt.spec.transform,
         "color_n": float(ckpt.color_n),
         "epochs_trained": int(ckpt.epochs_trained),
         "final_j": None if ckpt.final_j is None else float(ckpt.final_j),
@@ -510,7 +501,7 @@ def _parse_checkpoint(data: bytes) -> ModelCheckpoint:
 
     try:
         params = np.frombuffer(memoryview(data)[12 + meta_len:-4], dtype="<f8")
-        network = Network(MODEL_SPECS[model]["kind"], sizes, params.astype(np.float64))
+        network = Network(MODEL_SPECS[model].kind, sizes, params.astype(np.float64))
     except (ShapeMismatchError, ValueError) as e:
         raise CheckpointError(f"parameter payload does not fit the metadata: {e}") from e
 
@@ -531,10 +522,10 @@ def checkpoint_summary(ckpt: ModelCheckpoint) -> str:
     """Human-readable description used by the command-line info view."""
     lines = [
         f"model: {ckpt.model}",
-        f"kind: {ckpt.kind}",
+        f"kind: {ckpt.spec.kind}",
         f"arch: {ckpt.arch}",
-        f"context: {ckpt.context}",
-        f"transform: {ckpt.transform}",
+        f"context: {ckpt.spec.context}",
+        f"transform: {ckpt.spec.transform}",
         f"sizes: {'-'.join(str(s) for s in ckpt.sizes)}",
         f"parameters: {ckpt.network.params.size}",
         f"epochs_trained: {ckpt.epochs_trained}",

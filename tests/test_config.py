@@ -1,24 +1,23 @@
+import dataclasses
+
 import pytest
 
-from vpsep import MODEL_SPECS, MODELS, ExperimentConfig, make_config, read_config_file
+from vpsep import (MODEL_SPECS, MODELS, ExperimentConfig, ModelSpec, make_config,
+                   read_config_file)
 from vpsep.errors import ConfigError
 
 
 def test_model_menu():
     assert set(MODELS) == {"DNN1", "DNN2", "DNN3", "WVPNN", "CVPNN"}
-    assert MODEL_SPECS["DNN1"] == {
-        "kind": "real", "width": 512, "transform": "none", "context": 1
-    }
-    assert MODEL_SPECS["DNN2"]["width"] == 1536
-    assert MODEL_SPECS["DNN3"] == {
-        "kind": "real", "width": 1536, "transform": "window", "context": 3
-    }
-    assert MODEL_SPECS["WVPNN"] == {
-        "kind": "vp", "width": 512, "transform": "window", "context": 3
-    }
-    assert MODEL_SPECS["CVPNN"] == {
-        "kind": "vp", "width": 512, "transform": "color", "context": 1
-    }
+    assert MODEL_SPECS["DNN1"] == ModelSpec(kind="real", width=512, transform="none",
+                                            context=1)
+    assert MODEL_SPECS["DNN2"].width == 1536
+    assert MODEL_SPECS["DNN3"] == ModelSpec(kind="real", width=1536, transform="window",
+                                            context=3)
+    assert MODEL_SPECS["WVPNN"] == ModelSpec(kind="vp", width=512, transform="window",
+                                             context=3)
+    assert MODEL_SPECS["CVPNN"] == ModelSpec(kind="vp", width=512, transform="color",
+                                             context=1)
 
 
 def test_defaults_fill_from_model():
@@ -26,22 +25,22 @@ def test_defaults_fill_from_model():
     assert cfg.model == "CVPNN"
     assert cfg.hidden_width == 512
     assert cfg.hidden_layers == 3
-    assert cfg.transform == "color"
-    assert cfg.kind == "vp"
-    assert cfg.context == 1
+    assert cfg.spec.transform == "color"
+    assert cfg.spec.kind == "vp"
+    assert cfg.spec.context == 1
     assert cfg.arch == "512x3"
 
     cfg = ExperimentConfig(model="DNN3")
     assert cfg.hidden_width == 1536
-    assert cfg.transform == "window"
-    assert cfg.kind == "real"
-    assert cfg.context == 3
+    assert cfg.spec.transform == "window"
+    assert cfg.spec.kind == "real"
+    assert cfg.spec.context == 3
 
 
 def test_explicit_width_overrides_default():
     cfg = ExperimentConfig(model="WVPNN", hidden_width=64, hidden_layers=2)
     assert cfg.arch == "64x2"
-    assert cfg.transform == "window"
+    assert cfg.spec.transform == "window"
 
 
 def test_network_sizes():
@@ -65,11 +64,20 @@ def test_rejects_unknown_model_and_transform(tmp_path):
     cfg = ExperimentConfig(model="DNN1")
     with pytest.raises(AttributeError):
         cfg.transform = "color"
-    assert cfg.transform == MODEL_SPECS["DNN1"]["transform"]
+    assert cfg.spec.transform == MODEL_SPECS["DNN1"].transform
     path = tmp_path / "run.cfg"
     path.write_text("model = CVPNN\ntransform = color\n")
     with pytest.raises(ConfigError, match="unknown key 'transform'"):
         read_config_file(path)
+
+
+def test_config_fields_cannot_be_reassigned():
+    # fields are validated once, in __post_init__, so none may change afterwards
+    cfg = ExperimentConfig(model="DNN1")
+    for field in dataclasses.fields(cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field.name, "NOPE")
+    assert cfg == ExperimentConfig(model="DNN1")
 
 
 def test_bounds_validation():

@@ -278,7 +278,7 @@ def test_plain_frames_shapes(tiny_corpus):
 def test_codec_widths_match_network_sizes(model, tiny_corpus):
     config = ExperimentConfig(model=model)
     sizes = config.network_sizes(N_BINS)
-    lead = (3,) if config.kind == "vp" else ()
+    lead = (3,) if config.spec.kind == "vp" else ()
     entry = tiny_corpus.train_clips[0]
     x, t = clip_frames(entry, model)
     assert x.shape[:-1] == lead + (sizes[0],)

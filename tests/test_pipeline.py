@@ -47,7 +47,7 @@ def small_cfg(**kw):
 
 def fresh_ckpt(model="CVPNN", width=24, layers=2, seed=0):
     cfg = ExperimentConfig(model=model, hidden_width=width, hidden_layers=layers)
-    net = init_network(cfg.kind, cfg.network_sizes(N_BINS), seed=seed)
+    net = init_network(cfg.spec.kind, cfg.network_sizes(N_BINS), seed=seed)
     return ModelCheckpoint(model=model, color_n=cfg.color_n,
                            network=net)
 
@@ -93,7 +93,7 @@ def test_train_real_model(tiny_corpus):
     cfg = ExperimentConfig(model="DNN1", hidden_width=24, hidden_layers=2,
                            epochs=3, batch_frames=64)
     ckpt, history = train(cfg, tiny_corpus)
-    assert ckpt.kind == "real"
+    assert ckpt.spec.kind == "real"
     assert history[-1] < history[0]
 
 
@@ -477,7 +477,7 @@ def test_checkpoint_roundtrip_preserves_behavior(tiny_corpus, tmp_path):
     back = checkpoint_load(path)
     assert back.model == ckpt.model
     assert back.arch == ckpt.arch
-    assert back.transform == ckpt.transform
+    assert back.spec.transform == ckpt.spec.transform
     assert back.color_n == ckpt.color_n
     assert back.epochs_trained == 1
     assert back.final_j == ckpt.final_j
@@ -498,7 +498,7 @@ def test_checkpoint_roundtrip_real_model(tiny_corpus, tmp_path):
     path = tmp_path / "real.ckpt"
     checkpoint_save(path, ckpt)
     back = checkpoint_load(path)
-    assert back.kind == "real"
+    assert back.spec.kind == "real"
     assert back.sizes == [3 * N_BINS, 16, 2 * N_BINS]
     assert np.array_equal(ckpt.network.params, back.network.params)
 
@@ -513,6 +513,10 @@ V1_GOLDEN = {
               "c264de75b9909e68fcf8d3ae6333b0f3f39b00b009f7b24bb636ebd77165e29f"),
     "DNN3": ("real", [18, 7, 12], 7, 1, "window",
              "5b694bdb8ea6b3953f727e37b30a5bf595e29143196f2ea8447c058a9d76202f"),
+    "DNN1": ("real", [6, 3, 12], 3, 1, "none",
+             "7a0ed6630d2f3a781efb03e3da5e013179f5b72ed8251ea35fab0cae5d06107f"),
+    "DNN2": ("real", [6, 9, 9, 12], 9, 2, "none",
+             "2f849ef7394443281b21c3928fd86f423bd03ae2ec46fbcfaa3ec86af50aa4fc"),
 }
 
 
@@ -525,7 +529,10 @@ def test_checkpoint_v1_golden_bytes(model, tmp_path):
     checkpoint_save(path, ckpt)
     data = path.read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
-    checkpoint_save(tmp_path / "again.ckpt", checkpoint_load(path))
+    back = checkpoint_load(path)
+    assert (back.spec.kind, back.arch, back.spec.transform) == (
+        kind, f"{width}x{layers}", transform)
+    checkpoint_save(tmp_path / "again.ckpt", back)
     assert (tmp_path / "again.ckpt").read_bytes() == data
 
 
@@ -626,7 +633,7 @@ def test_checkpoint_rejects_metadata_contradicting_model(changes, match, tmp_pat
 
 
 # the transform column only names the model's input transform, which a
-# checkpoint reads from MODEL_SPECS
+# checkpoint takes from its spec, MODEL_SPECS[model]
 @pytest.mark.parametrize("model, kind, transform, hidden, match", [
     ("CVPNN", "real", "color", 8, "kind"),
     ("DNN3", "real", "window", 8, "sizes"),
