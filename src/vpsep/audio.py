@@ -152,10 +152,12 @@ def istft(s: ComplexSpectrogram) -> Waveform:
     would amplify content that modified spectra leak under the window
     taper, so those samples are left undivided and simply taper to zero.
     The result spans the frames, ``(T - 1) * HOP + WINDOW_LEN`` samples.
+    It is one ``overlap_add`` of every frame, finished by ``ola_waveform``:
+    the steps a block-wise separation takes a block at a time.
     """
     rows = ola_rows(s.n_frames)
     overlap_add(rows, 0, s.bins)
-    return ola_waveforms(rows)[0]
+    return ola_waveform(rows)
 
 
 def ola_rows(n_frames: int) -> np.ndarray:
@@ -184,21 +186,18 @@ def overlap_add(rows: np.ndarray, lo: int, bins: np.ndarray) -> None:
     _add_frames(rows[lo:lo + len(frames) + _OVERLAP - 1], frames)
 
 
-def ola_waveforms(*accumulators: np.ndarray) -> list[Waveform]:
-    """Finish overlap-add accumulators of one frame count: divide each by
-    the accumulated squared window where it is trusted (see ``istft``).
-    The accumulators are divided in place and become the samples."""
-    n_frames = len(accumulators[0]) - _OVERLAP + 1
+def ola_waveform(rows: np.ndarray) -> Waveform:
+    """Finish an overlap-add accumulator: divide it by the accumulated
+    squared window where that is trusted (see ``istft``).  The
+    accumulator is divided in place and becomes the samples."""
+    n_frames = len(rows) - _OVERLAP + 1
     den = ola_rows(n_frames)
     _add_frames(den, np.broadcast_to(_WINDOW * _WINDOW, (n_frames, WINDOW_LEN)))
     den = den.ravel()
     live = den > OLA_REL_FLOOR * np.max(den)
-    out = []
-    for rows in accumulators:
-        y = rows.ravel()
-        y[live] /= den[live]
-        out.append(Waveform(y, TARGET_RATE))
-    return out
+    y = rows.ravel()
+    y[live] /= den[live]
+    return Waveform(y, TARGET_RATE)
 
 
 def soft_mask(mag1: np.ndarray, mag2: np.ndarray) -> MaskPair:

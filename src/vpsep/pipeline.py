@@ -22,7 +22,7 @@ from .audio import (
     # not called here, kept only because the benchmark's tracer wraps it here
     apply_mask_and_reconstruct,
     ola_rows,
-    ola_waveforms,
+    ola_waveform,
     overlap_add,
     resample_to_16k,
     soft_mask,
@@ -210,7 +210,7 @@ def _cut(w: Waveform, offset: int, n: int) -> Waveform:
 
 # STFT frames masked and overlap-added at a time (8.2 s at 16 kHz).  Beside
 # the clip's spectrogram and its two estimates, a separation holds only one
-# block's activations, masks and synthesis frames.  Separating 120 s at
+# block's activations, mask and synthesis frames.  Separating 120 s at
 # 512x3 on a 2-vCPU VM, blocks of 128-512 frames peaked at 380-396 MiB RSS,
 # 1024 at 460 and 2048 at 577; smaller blocks were not faster.
 _BLOCK_FRAMES = 512
@@ -228,27 +228,28 @@ def _masked_split(w: Waveform, masks_of) -> tuple[Waveform, Waveform]:
     The mixture is padded and transformed whole; ``masks_of(spec)`` returns
     the function ``block(lo, hi)`` that gives the ``MaskPair`` of frames
     ``lo:hi`` of that spectrogram.  Blocks of ``_BLOCK_FRAMES`` frames are
-    masked and overlap-added in order, which sums every sample's frames in
-    the order a whole-clip ``istft`` does."""
+    masked by ``m1`` and overlap-added in order, which sums every sample's
+    frames in the order a whole-clip ``istft`` does.  The music mask is
+    ``1 - m1`` and the iSTFT is linear and exact where samples are kept,
+    so the music estimate is the mixture minus the vocal estimate."""
     # held to the end: freeing it after the STFT raised separate-long's peak
     # RSS from 500 to 516 MiB (glibc raises its mmap threshold on the free)
     padded = _pad_waveform(w)
     spec = stft(padded)
     block = masks_of(spec)
-    acc_v, acc_m = ola_rows(spec.n_frames), ola_rows(spec.n_frames)
+    acc = ola_rows(spec.n_frames)
     for lo, hi in _blocks(spec.n_frames):
-        masks, bins = block(lo, hi), spec.bins[:, lo:hi]
-        overlap_add(acc_v, lo, masks.m1 * bins)
-        overlap_add(acc_m, lo, masks.m2 * bins)
-    est_v, est_m = ola_waveforms(acc_v, acc_m)
-    return _cut(est_v, WINDOW_LEN, len(w)), _cut(est_m, WINDOW_LEN, len(w))
+        overlap_add(acc, lo, block(lo, hi).m1 * spec.bins[:, lo:hi])
+    vocal = _cut(ola_waveform(acc), WINDOW_LEN, len(w))
+    return vocal, Waveform(w.samples - vocal.samples, w.sample_rate)
 
 
 def separate(ckpt: ModelCheckpoint, mix: Waveform) -> tuple[Waveform, Waveform]:
     """Split a mixture into (vocal, music) estimates.
 
     The input is resampled to the working rate; the estimates have exactly
-    the resampled length and sum to the resampled mixture.  Magnitudes are
+    the resampled length, and the music estimate is the resampled mixture
+    minus the vocal estimate (``_masked_split``).  Magnitudes are
     normalized by the maximum over the whole clip, then encoded, run
     through the network and turned into masks a block of frames at a time;
     context-3 models see one more frame on each side of a block, so a

@@ -1,8 +1,9 @@
 """Dimensionality transforms between real magnitudes and 3-vector inputs.
 
-Vector encodings are ``(3, F, T)`` arrays, one plane per component.  An
-encoder encodes every frame of a magnitude matrix, or only the frames a
-minibatch picks (its ``cols``); the two share one body.  The
+Vector encodings are C-ordered ``(3, F, T)`` arrays, one plane per
+component, the layout the networks take.  An encoder encodes every frame
+of a magnitude matrix, or only the frames a minibatch picks (its
+``cols``); the two share one body and one layout.  The
 context-window encoder packs the previous/current/next spectrogram frame
 of each t-f cell into a vector; its decoder reads back the middle
 component, which must lie in [0, 1].  The color encoder
@@ -73,17 +74,6 @@ def context_columns(n_frames: int) -> np.ndarray:
     return np.stack([np.maximum(own - 1, 0), own, np.minimum(own + 1, n_frames - 1)])
 
 
-def _planes(rows: int, n_frames: int, cols) -> np.ndarray:
-    """Uninitialised planes for an encoding of ``rows`` bins.  Encoding
-    all ``n_frames`` frames (``cols`` None) gives column-major planes, the
-    memory order of STFT magnitudes, so that encoding them is no
-    transposing pass; a minibatch of picked frames is C-ordered, the
-    order the networks are trained in."""
-    if cols is None:
-        return np.empty((3, n_frames, rows)).swapaxes(-1, -2)
-    return np.empty((3, rows, np.shape(cols)[-1]))
-
-
 def window_encode(s: MagnitudeMatrix, cols=None) -> np.ndarray:
     """Context-window encoding as a (3, F, T) array: planes are the
     previous, current, and subsequent frames.
@@ -95,10 +85,12 @@ def window_encode(s: MagnitudeMatrix, cols=None) -> np.ndarray:
     data = s.data
     if data.shape[1] < 1:
         raise ShapeMismatchError("need at least one frame column")
-    if cols is not None and (np.ndim(cols) != 2 or len(cols) != 3):
+    if cols is None:
+        cols = context_columns(data.shape[1])
+    elif np.ndim(cols) != 2 or len(cols) != 3:
         raise ShapeMismatchError(f"cols must have shape (3, T), got {np.shape(cols)}")
-    v = _planes(data.shape[0], data.shape[1], cols)
-    for plane, c in zip(v, context_columns(data.shape[1]) if cols is None else cols):
+    v = np.empty((3, data.shape[0], np.shape(cols)[1]))
+    for plane, c in zip(v, cols):
         plane[...] = data[:, c]
     return v
 
@@ -122,7 +114,7 @@ def color_encode(s: MagnitudeMatrix, n: float = COLOR_N, cols=None) -> np.ndarra
     frames to encode, every frame by default."""
     check_color_n(n)
     x = s.data if cols is None else s.data[:, cols]
-    v = _planes(x.shape[0], x.shape[1], cols)
+    v = np.empty((3,) + x.shape)
     np.clip(x / n, 0.0, 1.0, out=v[0])
     np.clip((x - n) / n, 0.0, 1.0, out=v[1])
     np.clip((x - 2.0 * n) / (1.0 - 2.0 * n), 0.0, 1.0, out=v[2])

@@ -36,8 +36,9 @@ def vec_matmul(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> n
     """Vector-valued matrix product: entry (i,k) = sum_j P[i,j] x Q[j,k].
 
     Computed as six real matrix multiplications over the component planes
-    of C-ordered operands; others, such as transposed views, are copied
-    first, because BLAS can round a transposed operand differently.  Each
+    of C-ordered operands.  Encoders and layers give C-ordered planes; the
+    transposed views that backward passes are copied first, because BLAS
+    can round a transposed operand differently.  Each
     output plane takes its first product directly and then subtracts the
     second.
 

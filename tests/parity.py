@@ -2,8 +2,9 @@
 
 Trains CVPNN, WVPNN, DNN1 and DNN3 at 64x2 for 2 epochs with seed 0 on
 ``synth_dataset(seed=0)`` and prints, per model, the J history as
-``float.hex``, the sha256 of the saved checkpoint and the sha256 of the
-vocal and music stems that ``separate`` gives for the first test clip.
+``float.hex``, the sha256 of the saved checkpoint and one sha256 for
+each of the vocal and music stems that ``separate`` gives for the first
+test clip, so a diff shows which stem moved.
 For the trained CVPNN and DNN1 and for the soft and binary ideal masks
 it also prints every test clip's SDR, SIR, SAR and mixture SDR as
 ``float.hex`` at ``filter_len`` 512 and 32; the ideal masks print the
@@ -59,10 +60,9 @@ def print_evaluation(label: str, report) -> None:
 
 
 def print_stems(label: str, stems) -> None:
-    digest = hashlib.sha256()
-    for stem in stems:
-        digest.update(stem.samples.tobytes())
-    print(f"{label} stems sha256 {digest.hexdigest()}")
+    for name, stem in zip(("vocal", "music"), stems):
+        digest = hashlib.sha256(stem.samples.tobytes()).hexdigest()
+        print(f"{label} {name} sha256 {digest}")
 
 
 def read_output(path):

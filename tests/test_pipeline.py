@@ -218,14 +218,16 @@ WHOLE = 10**9  # frames per block: more than any test input has
 
 def _assert_blocks_match_one_block(monkeypatch, mix, run):
     # the test clips have 80 frames: blocks of 1 and of 7 frames (not a
-    # divisor) against one block
+    # divisor) against one block; at every block size the music estimate
+    # is the mixture minus the vocal estimate, bit for bit
     peak = np.max(np.abs(mix.samples))
     whole = _split_in_blocks(monkeypatch, WHOLE, run)
-    for frames in (1, 7):
+    for frames in (WHOLE, 1, 7):
         est = _split_in_blocks(monkeypatch, frames, run)
         for got, want in zip(est, whole):
             assert _worst(got.samples, want.samples) <= 1e-12 * peak
         assert _worst(est[0].samples + est[1].samples, mix.samples) <= 1e-12 * peak
+        assert np.array_equal(est[1].samples, mix.samples - est[0].samples)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -253,6 +255,7 @@ def test_separate_inputs_shorter_than_a_window(n, frames, monkeypatch):
     est_v, est_m = _split_in_blocks(monkeypatch, frames, lambda: separate(ckpt, mix))
     assert len(est_v) == len(est_m) == n
     assert _worst(est_v.samples + est_m.samples, mix.samples) <= 1e-12
+    assert np.array_equal(est_m.samples, mix.samples - est_v.samples)
 
 
 def test_separate_memory_grows_little_per_input_second():
