@@ -15,23 +15,21 @@ Scoring wakes no BLAS thread pool.  numpy and scipy each load their own
 OpenBLAS, and on a machine with few cores the spinning workers of one
 pool slow the other: the five energies of ``sdr_sir_sar`` are summed by
 ``np.einsum`` (no BLAS call), and each Cholesky factor and solve runs with
-scipy's OpenBLAS set to one thread.  That also makes scores independent of
-the core count, since a threaded Cholesky rounds differently for each
-thread count.  numpy's pool is left alone: separation's GEMMs need it.
+scipy's OpenBLAS set to one thread (``parallel.ONE_LAPACK_THREAD``).  That
+also makes scores independent of the core count, since a threaded
+Cholesky rounds differently for each thread count.
 """
 
 from __future__ import annotations
 
-import ctypes
-import threading
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy import linalg as sla
 from scipy.fft import next_fast_len
-from scipy.linalg import cython_lapack
 
+from . import parallel
 from .errors import ShapeMismatchError, VpsepError, check_int
 
 DB_CAP = 100.0
@@ -71,66 +69,6 @@ def _as_signal(x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise VpsepError("signals must be finite")
     return x
-
-
-def _openblas_threads(lib):
-    """The ``(get, set)`` thread-count functions of the OpenBLAS that ``lib``
-    links, or None when it exports neither known pair."""
-    for prefix in ("scipy_openblas", "openblas"):
-        try:
-            return (getattr(lib, f"{prefix}_get_num_threads"),
-                    getattr(lib, f"{prefix}_set_num_threads"))
-        except AttributeError:
-            pass
-    return None
-
-
-def _find_lapack_threads():
-    """The thread-count pair of the OpenBLAS behind scipy's LAPACK (not the
-    one numpy loads), with its C signatures declared, or None."""
-    try:
-        threads = _openblas_threads(ctypes.CDLL(cython_lapack.__file__))
-    except OSError:
-        return None
-    if threads is not None:
-        get, set_ = threads
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-    return threads
-
-
-class _OneThreadScope:
-    """A context that runs its body with an OpenBLAS on one thread, given
-    that library's ``(get, set)`` thread-count pair (None: a no-op).  The
-    count is process-global and ``evaluate(workers>1)`` scores from several
-    threads, so the first to enter saves the count and the last to leave
-    restores it."""
-
-    def __init__(self, threads):
-        self.threads = threads
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = 0
-
-    def __enter__(self):
-        if self.threads is not None:
-            get, set_ = self.threads
-            with self._lock:
-                if self._depth == 0:
-                    self._saved = get()
-                    set_(1)
-                self._depth += 1
-
-    def __exit__(self, *exc):
-        if self.threads is not None:
-            with self._lock:
-                self._depth -= 1
-                if self._depth == 0:
-                    _, set_ = self.threads
-                    set_(self._saved)
-
-
-_ONE_LAPACK_THREAD = _OneThreadScope(_find_lapack_threads())
 
 
 def _project(rf: np.ndarray, taps: np.ndarray, nfft: int, size: int) -> np.ndarray:
@@ -174,7 +112,7 @@ class BssReferences:
         joint one), jittered by its own mean diagonal, then Cholesky, or
         lstsq when it is numerically singular anyway.  Factor and solve run
         on one LAPACK thread."""
-        with _ONE_LAPACK_THREAD:
+        with parallel.ONE_LAPACK_THREAD:
             solve = self._solvers.get(key)
             if solve is None:
                 gram = self._gram if key is None else self._gram[key, :, key]

@@ -86,11 +86,15 @@ class Network:
         return (vec_matmul, -1.0) if self.kind == "vp" else (np.matmul, 1.0)
 
 
-def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
+def forward(net: Network, x, out=None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run the network over a batch of input columns.
 
     Returns the output A^L and the activations [A0 .. AL], which are all
-    that :func:`backward` needs.
+    that :func:`backward` needs.  With ``out``, a sequence of one array per
+    layer, each layer's activations are written into its array: each must
+    be a C-contiguous float64 array of that layer's activation shape that
+    shares no memory with the input, the parameters or the arrays of the
+    layers before it.  All are checked before any write.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[:-1] != net.lead + (net.sizes[0],):
@@ -98,10 +102,17 @@ def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
             f"input shape {x.shape} does not fit a {net.kind} network "
             f"with {net.sizes[0]} inputs"
         )
+    if out is None:
+        out = [None] * len(net.layers)
+    elif len(out) != len(net.layers):
+        raise ShapeMismatchError(f"out holds {len(out)} arrays for {len(net.layers)} layers")
+    else:
+        for k, (buf, width) in enumerate(zip(out, net.sizes[1:])):
+            check_out(buf, net.lead + (width, x.shape[-1]), x, net.params, *out[:k])
     product, _ = net.product()
     activations = [x]
-    for w, b in net.layers:
-        z = product(w, activations[-1])
+    for (w, b), buf in zip(net.layers, out):
+        z = product(w, activations[-1], out=buf)
         z += b  # bias column broadcasts across frames
         activations.append(expit(z, out=z))
     return activations[-1], activations

@@ -4,9 +4,11 @@ a mixture into vocal and music estimates, and corpus-level evaluation."""
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,10 +19,10 @@ from .audio import (
     N_BINS,
     TARGET_RATE,
     WINDOW_LEN,
-    MaskPair,
     Waveform,
     # not called here, kept only because the benchmark's tracer wraps it here
     apply_mask_and_reconstruct,
+    n_frames_for,
     ola_rows,
     ola_waveform,
     overlap_add,
@@ -29,6 +31,7 @@ from .audio import (
     stft,
     _atomic_write,
 )
+from . import parallel
 from .config import MODEL_SPECS, ExperimentConfig, ModelSpec
 from .dataset import (
     ClipEntry,
@@ -209,37 +212,70 @@ def _cut(w: Waveform, offset: int, n: int) -> Waveform:
 
 
 # STFT frames masked and overlap-added at a time (8.2 s at 16 kHz).  Beside
-# the clip's spectrogram and its two estimates, a separation holds only one
-# block's activations, mask and synthesis frames.  Separating 120 s at
-# 512x3 on a 2-vCPU VM, blocks of 128-512 frames peaked at 380-396 MiB RSS,
-# 1024 at 460 and 2048 at 577; smaller blocks were not faster.
+# the clip's samples and its vocal estimate, a separation holds only a few
+# blocks' spectra, activations and masks.  Separating 120 s at 512x3 on a
+# 2-vCPU VM, blocks of 128-512 frames peaked at 380-396 MiB RSS, 1024 at
+# 460 and 2048 at 577; smaller blocks were not faster.  A constant, so the
+# bits of a separation never depend on the core count.
 _BLOCK_FRAMES = 512
 
 
-def _blocks(n_frames: int) -> list[tuple[int, int]]:
-    """The frame ranges ``(lo, hi)`` of a spectrogram's blocks, in order."""
-    return [(lo, min(lo + _BLOCK_FRAMES, n_frames))
+def _blocks(n_frames: int, halo: int) -> list[tuple[int, int, int, int]]:
+    """Each block's frames ``lo:hi`` of a spectrogram, in order, with the
+    frames ``a:b`` that add up to ``halo`` neighbours on each side, as
+    ``(a, lo, hi, b)``."""
+    return [(max(lo - halo, 0), lo, min(lo + _BLOCK_FRAMES, n_frames),
+             min(lo + _BLOCK_FRAMES + halo, n_frames))
             for lo in range(0, n_frames, _BLOCK_FRAMES)]
 
 
-def _masked_split(w: Waveform, masks_of) -> tuple[Waveform, Waveform]:
+def _block_bins(padded: Waveform, a: int, b: int) -> np.ndarray:
+    """Frames ``a:b`` of the STFT of ``padded``, taken from the samples they
+    span: the same bits as those columns of the whole signal's STFT."""
+    return stft(_cut(padded, a * HOP, (b - a - 1) * HOP + WINDOW_LEN)).bins
+
+
+def _masked_split(w: Waveform, halo: int, masks_of) -> tuple[Waveform, Waveform]:
     """Both estimates of a 16 kHz mixture, cut to the mixture's length.
 
-    The mixture is padded and transformed whole; ``masks_of(spec)`` returns
-    the function ``block(lo, hi)`` that gives the ``MaskPair`` of frames
-    ``lo:hi`` of that spectrogram.  Blocks of ``_BLOCK_FRAMES`` frames are
-    masked by ``m1`` and overlap-added in order, which sums every sample's
-    frames in the order a whole-clip ``istft`` does.  The music mask is
-    ``1 - m1`` and the iSTFT is linear and exact where samples are kept,
-    so the music estimate is the mixture minus the vocal estimate."""
-    # held to the end: freeing it after the STFT raised separate-long's peak
-    # RSS from 500 to 516 MiB (glibc raises its mmap threshold on the free)
+    The mixture is padded, and its STFT is taken a block of frames at a
+    time (``_blocks``), never whole.  ``masks_of(bins_of, blocks, pool)``,
+    given ``bins_of(a, b)``, frames ``a:b`` of that STFT, returns
+    ``(start, mask)``.  For each block ``k`` in order, ``start(k, bins)``
+    takes its frames ``a:b`` and returns a future, which may run on
+    ``pool``; ``mask(k, result)`` then turns the future's result into the
+    vocal mask of frames ``lo:hi``.  Blocks are started up to the pool's
+    size ahead of the one being masked; a one-block clip gets an inline
+    pool.  The calling thread masks blocks by ``m1`` and overlap-adds them
+    in order, which sums every sample's frames in the order a whole-clip
+    ``istft`` does.  All of it runs with numpy's BLAS on one thread, and a
+    failure waits for the blocks running on the pool before it propagates.
+    The music mask is ``1 - m1`` and the iSTFT is linear and exact where
+    samples are kept, so the music estimate is the mixture minus the vocal
+    estimate."""
     padded = _pad_waveform(w)
-    spec = stft(padded)
-    block = masks_of(spec)
-    acc = ola_rows(spec.n_frames)
-    for lo, hi in _blocks(spec.n_frames):
-        overlap_add(acc, lo, block(lo, hi).m1 * spec.bins[:, lo:hi])
+    n_frames = n_frames_for(len(padded))
+    blocks = _blocks(n_frames, halo)
+    pool, ahead = parallel.pool() if len(blocks) > 1 else (parallel.INLINE, 0)
+    acc = ola_rows(n_frames)
+    pending = deque()  # (k, the block's own bins, future), oldest first
+
+    def finish():
+        k, bins, job = pending.popleft()
+        overlap_add(acc, blocks[k][1], mask(k, job.result()) * bins)
+
+    with parallel.ONE_BLAS_THREAD:
+        try:
+            start, mask = masks_of(lambda a, b: _block_bins(padded, a, b), blocks, pool)
+            for k, (a, lo, hi, b) in enumerate(blocks):
+                bins = _block_bins(padded, a, b)
+                if len(pending) > ahead:
+                    finish()
+                pending.append((k, bins[:, lo - a:hi - a], start(k, bins)))
+            while pending:
+                finish()
+        finally:
+            wait([job for *_, job in pending])
     vocal = _cut(ola_waveform(acc), WINDOW_LEN, len(w))
     return vocal, Waveform(w.samples - vocal.samples, w.sample_rate)
 
@@ -250,46 +286,62 @@ def separate(ckpt: ModelCheckpoint, mix: Waveform) -> tuple[Waveform, Waveform]:
     The input is resampled to the working rate; the estimates have exactly
     the resampled length, and the music estimate is the resampled mixture
     minus the vocal estimate (``_masked_split``).  Magnitudes are
-    normalized by the maximum over the whole clip, then encoded, run
-    through the network and turned into masks a block of frames at a time;
-    context-3 models see one more frame on each side of a block, so a
-    block's output is that of the whole-clip network."""
+    normalized by the maximum over the whole clip, found in a first pass
+    over the blocks, then encoded, run through the network and turned
+    into masks a block of frames at a time; context-3 models see one more
+    frame on each side of a block, so a block's output is that of the
+    whole-clip network.  The forward passes run on the pool, into buffers
+    kept for the call, while the calling thread encodes and masks."""
     forward, _ = _engine(ckpt.spec.kind)
     encode, _, decode = _codec(ckpt.model, ckpt.color_n)
-    halo = ckpt.spec.context // 2
+    net = ckpt.network
 
-    def masks_of(spec):
-        t = spec.n_frames
-        # the same float as normalize(spec.magnitude()).scale: a max is exact
-        scale = max(max(float(np.abs(spec.bins[:, lo:hi]).max())
-                        for lo, hi in _blocks(t)), SCALE_FLOOR)
+    def masks_of(bins_of, blocks, pool):
+        # the same float as normalize(|whole STFT|).scale: a max is exact
+        scale = max(max(float(np.abs(bins_of(lo, hi)).max()) for _, lo, hi, _ in blocks),
+                    SCALE_FLOOR)
+        cols = max(b - a for a, _, _, b in blocks)
+        spare, held = [], {}  # per-layer output buffers, free and in use by block
 
-        def block(lo, hi):
-            a, b = max(lo - halo, 0), min(hi + halo, t)
-            norm = normalize(np.abs(spec.bins[:, a:b]), scale)
-            y = forward(ckpt.network, encode(norm))[0]
-            mags = decode(y[..., lo - a:hi - a]).data * scale
-            return soft_mask(mags[:N_BINS], mags[N_BINS:])
-        return block
-    return _masked_split(resample_to_16k(mix), masks_of)
+        def start(k, bins):
+            x = encode(normalize(np.abs(bins), scale))
+            held[k] = flat = spare.pop() if spare else [
+                np.empty(math.prod(net.lead + (n, cols))) for n in net.sizes[1:]]
+            shapes = [net.lead + (n, x.shape[-1]) for n in net.sizes[1:]]
+            out = [f[:math.prod(s)].reshape(s) for f, s in zip(flat, shapes)]
+            return pool.submit(forward, net, x, out=out)
+
+        def mask(k, result):
+            a, lo, hi, _ = blocks[k]
+            mags = decode(result[0][..., lo - a:hi - a]).data * scale
+            spare.append(held.pop(k))
+            return soft_mask(mags[:N_BINS], mags[N_BINS:]).m1
+        return start, mask
+    return _masked_split(resample_to_16k(mix), ckpt.spec.context // 2, masks_of)
 
 
 def separate_ideal(mix: Waveform, vocal: Waveform, music: Waveform,
                    kind: str = "soft") -> tuple[Waveform, Waveform]:
-    """Oracle separation from the true stem magnitudes (mask upper bound)."""
+    """Oracle separation from the true stem magnitudes (mask upper bound).
+    Each block's mask is made in the calling thread from the blocks of the
+    stems' STFTs."""
     if kind not in ("soft", "binary"):
         raise VpsepError(f"ideal mask kind must be soft or binary, got {kind!r}")
     w, v, m = (resample_to_16k(x) for x in (mix, vocal, music))
     n = min(len(w), len(v), len(m))
-    mag_v, mag_m = (stft(_pad_waveform(_cut(x, 0, n))).magnitude() for x in (v, m))
+    stems = [_pad_waveform(_cut(x, 0, n)) for x in (v, m)]
 
-    def block(lo, hi):
+    def block_mask(lo, hi):
         # masks are cellwise, so a block's mask is that block of the whole one
-        bv, bm = mag_v[:, lo:hi], mag_m[:, lo:hi]
+        bv, bm = (np.abs(_block_bins(s, lo, hi)) for s in stems)
         if kind == "binary":
-            return MaskPair((bv >= bm).astype(np.float64))
-        return soft_mask(bv, bm)
-    return _masked_split(_cut(w, 0, n), lambda spec: block)
+            return (bv >= bm).astype(np.float64)
+        return soft_mask(bv, bm).m1
+
+    def masks_of(bins_of, blocks, pool):
+        return (lambda k, bins: parallel.INLINE.submit(block_mask, *blocks[k][1:3]),
+                lambda k, m1: m1)
+    return _masked_split(_cut(w, 0, n), 0, masks_of)
 
 
 # --- evaluation -------------------------------------------------------------

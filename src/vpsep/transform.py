@@ -131,21 +131,36 @@ def color_decode(v: np.ndarray, n: float = COLOR_N) -> MagnitudeMatrix:
     network outputs are projected, never rejected.
     """
     check_color_n(n)
-    r, g, b = v
-
-    t1 = np.clip(r, 0.0, 1.0)
-    d1 = (r - t1) ** 2 + g**2 + b**2
-    x1 = t1 * n
-
-    t2 = np.clip(g, 0.0, 1.0)
-    d2 = (r - 1.0) ** 2 + (g - t2) ** 2 + b**2
-    x2 = n + t2 * n
-
-    t3 = np.clip(b, 0.0, 1.0)
-    d3 = (r - 1.0) ** 2 + (g - 1.0) ** 2 + (b - t3) ** 2
-    x3 = 2.0 * n + t3 * (1.0 - 2.0 * n)
-
-    # nearest segment, ties to the earlier one (argmin's rule); x1..x3 lie in [0, 1]
-    x = np.where(d2 < d1, x2, x1)
-    x = np.where(d3 < np.minimum(d1, d2), x3, x)
+    r, g, b = np.asarray(v, dtype=np.float64)
+    # segment by segment, keeping the nearest so far, with the operations
+    # (and so the bits) of the textbook squared distances and parameters
+    b2 = np.square(b)
+    x = np.clip(r, 0.0, 1.0)  # segment 1: t1 = clamp(r), x1 = t1 n
+    best = np.subtract(r, x)
+    best *= best
+    best += np.square(g)
+    best += b2  # d1 = (r - t1)^2 + g^2 + b^2
+    x *= n
+    r1 = np.subtract(r, 1.0)
+    r1 *= r1
+    t = np.clip(g, 0.0, 1.0)  # segment 2: x2 = n + t2 n
+    d = np.subtract(g, t)
+    d *= d
+    d += r1
+    d += b2  # d2 = (r - 1)^2 + (g - t2)^2 + b^2
+    t *= n
+    t += n
+    # ties go to the earlier segment (argmin's rule); x1..x3 lie in [0, 1]
+    np.copyto(x, t, where=d < best)
+    np.minimum(best, d, out=best)
+    np.clip(b, 0.0, 1.0, out=t)  # segment 3: x3 = 2n + t3 (1 - 2n)
+    np.subtract(b, t, out=d)
+    d *= d
+    g1 = np.subtract(g, 1.0, out=b2)
+    g1 *= g1
+    r1 += g1
+    r1 += d  # d3 = (r - 1)^2 + (g - 1)^2 + (b - t3)^2
+    t *= 1.0 - 2.0 * n
+    t += 2.0 * n
+    np.copyto(x, t, where=r1 < best)
     return MagnitudeMatrix(x)

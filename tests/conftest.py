@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-import vpsep.metrics
+import vpsep.parallel
 from vpsep import synth_dataset
 
 
@@ -16,17 +16,25 @@ def tiny_corpus(tmp_path_factory):
     return synth_dataset(root, seed=11, n_train=2, n_test=2, duration_s=1.2)
 
 
+def _thread_count(scope, library):
+    """The ``(get, set)`` thread-count functions behind a one-thread scope;
+    the count the test found is put back after it."""
+    if scope.threads is None:
+        pytest.skip(f"{library}'s OpenBLAS exports no thread-count setter")
+    get, set_ = scope.threads
+    before = get()
+    yield scope.threads
+    set_(before)
+
+
 @pytest.fixture
 def lapack_threads():
-    """The ``(get, set)`` thread-count functions of scipy's OpenBLAS; the
-    count the test found is put back after it."""
-    threads = vpsep.metrics._ONE_LAPACK_THREAD.threads
-    if threads is None:
-        pytest.skip("scipy's OpenBLAS exports no thread-count setter")
-    get, set_ = threads
-    before = get()
-    yield threads
-    set_(before)
+    yield from _thread_count(vpsep.parallel.ONE_LAPACK_THREAD, "scipy")
+
+
+@pytest.fixture
+def blas_threads():
+    yield from _thread_count(vpsep.parallel.ONE_BLAS_THREAD, "numpy")
 
 
 def central_diff(f, planes, eps=1e-6):

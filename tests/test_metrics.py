@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import vpsep.metrics
+import vpsep.parallel
 from vpsep import (
     BssReferences,
     BssResult,
@@ -368,7 +369,7 @@ def test_lapack_threads_restored_after_failed_decomposition(lapack_threads, monk
         bss_decompose(refs[0], refs, 0, filter_len=8)
     assert seen == [1]
     assert get() == 2
-    assert vpsep.metrics._ONE_LAPACK_THREAD._depth == 0
+    assert vpsep.parallel.ONE_LAPACK_THREAD._depth == 0
 
 
 def test_concurrent_decompositions_leave_the_thread_count(lapack_threads, monkeypatch):
@@ -390,16 +391,20 @@ def test_concurrent_decompositions_leave_the_thread_count(lapack_threads, monkey
     assert len(decomps) == 8
     assert seen == [1] * 16  # each call factors the target and the joint system
     assert get() == 2
-    assert vpsep.metrics._ONE_LAPACK_THREAD._depth == 0
+    assert vpsep.parallel.ONE_LAPACK_THREAD._depth == 0
 
 
 def test_missing_thread_setter_is_a_no_op(monkeypatch):
-    assert vpsep.metrics._openblas_threads(SimpleNamespace()) is None
+    assert vpsep.parallel.openblas_threads(SimpleNamespace()) is None
     plain = SimpleNamespace(openblas_get_num_threads=len, openblas_set_num_threads=abs)
-    assert vpsep.metrics._openblas_threads(plain) == (len, abs)
+    assert vpsep.parallel.openblas_threads(plain) == (len, abs)
+    # numpy's build exports the 64-bit-integer interface, with a suffix
+    wide = SimpleNamespace(scipy_openblas_get_num_threads64_=len,
+                           scipy_openblas_set_num_threads64_=abs)
+    assert vpsep.parallel.openblas_threads(wide) == (len, abs)
     refs = np.random.default_rng(15).standard_normal((2, 600))
     est = refs[0] + 0.2 * refs[1]
     scoped = sdr_sir_sar(bss_decompose(est, refs, 0, filter_len=8))
-    monkeypatch.setattr(vpsep.metrics, "_ONE_LAPACK_THREAD",
-                        vpsep.metrics._OneThreadScope(None))
+    monkeypatch.setattr(vpsep.parallel, "ONE_LAPACK_THREAD",
+                        vpsep.parallel.OneThreadScope(None))
     assert sdr_sir_sar(bss_decompose(est, refs, 0, filter_len=8)) == scoped

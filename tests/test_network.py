@@ -129,6 +129,42 @@ def test_backward_refuses_a_bad_out_before_writing():
     assert not grad.any()
 
 
+@pytest.mark.parametrize("kind", ["vp", "real"])
+def test_forward_out_gives_the_allocating_bytes(kind):
+    net = init_network(kind, [5, 8, 6, 4], seed=16)
+    lead = (3,) if kind == "vp" else ()
+    x = np.random.default_rng(17).uniform(0, 1, lead + (5, 9))
+    out = [np.full(lead + (n, 9), np.nan) for n in (8, 6, 4)]
+    y, acts = forward(net, x, out=out)
+    _, want = forward(net, x)
+    assert y is out[-1] and all(a is b for a, b in zip(acts[1:], out))
+    assert [a.tobytes() for a in acts] == [a.tobytes() for a in want]
+
+
+def test_forward_refuses_a_bad_out_before_writing():
+    net = init_network("vp", [4, 6, 3], seed=18)
+    x = np.random.default_rng(19).uniform(0, 1, (3, 4, 5))
+    hidden, last = np.full((3, 6, 5), 0.25), np.full((3, 3, 5), 0.5)
+    wide = np.zeros((3, 6, 5))  # an input that is a view of it
+    cases = [
+        (x, [hidden], "for 2 layers"),
+        (x, [hidden, np.zeros((3, 3, 4))], "shape"),
+        (x, [np.zeros((3, 6, 4)), last], "shape"),
+        (x, [hidden, last.astype(np.float32)], "float64"),
+        (x, [np.zeros((3, 12, 5))[:, ::2], last], "C-contiguous"),
+        # a layer written over its input, the weights or another layer's
+        # activations would change values it or backward still reads
+        (wide[:, :4], [wide, last], "shares memory"),
+        (x, [net.params[:90].reshape(3, 6, 5), last], "shares memory"),
+        (x, [hidden, hidden.reshape(-1)[:45].reshape(3, 3, 5)], "shares memory"),
+    ]
+    for inp, out, match in cases:
+        before = [a.tobytes() for a in (inp, net.params, *out)]
+        with pytest.raises(ShapeMismatchError, match=match):
+            forward(net, inp, out=out)
+        assert [a.tobytes() for a in (inp, net.params, *out)] == before
+
+
 def test_vp_backward_zero_upstream():
     net = init_network("vp", [3, 5, 2], seed=1)
     rng = np.random.default_rng(2)

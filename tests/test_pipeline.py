@@ -1,10 +1,17 @@
 import hashlib
 import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import vpsep.parallel as parallel
 import vpsep.pipeline as pipeline
 from vpsep import (
     MODELS,
@@ -258,11 +265,154 @@ def test_separate_inputs_shorter_than_a_window(n, frames, monkeypatch):
     assert np.array_equal(est_m.samples, mix.samples - est_v.samples)
 
 
+@pytest.fixture
+def pool_of(monkeypatch):
+    """``pool_of(n)`` makes separation use a pool of ``n`` threads, or with
+    ``n = 0`` run every forward pass in the calling thread."""
+    made = []
+
+    def use(n):
+        executor = parallel.INLINE
+        if n:
+            executor = ThreadPoolExecutor(n)
+            made.append(executor)
+        monkeypatch.setattr(parallel, "pool", lambda: (executor, max(n, 1)))
+    yield use
+    for executor in made:
+        executor.shutdown()
+
+
+def _separation(how, name, entry):
+    """A separation of the clip tiled twice, about 155 frames."""
+    tiled = [Waveform(np.tile(w.samples, 2), w.sample_rate)
+             for w in (load_clip_mixture(entry), *load_clip_stems(entry))]
+    if how == "model":
+        ckpt = fresh_ckpt(model=name, width=64, layers=2)
+        return lambda: separate(ckpt, tiled[0])
+    return lambda: separate_ideal(*tiled, kind=name)
+
+
+@pytest.mark.parametrize("how, name", [*(("model", m) for m in MODELS),
+                                       ("ideal", "soft"), ("ideal", "binary")])
+def test_separation_bits_do_not_depend_on_the_pool(how, name, tiny_corpus, monkeypatch,
+                                                   pool_of, blas_threads):
+    # 5 blocks, more than any of these pools runs ahead.  At 64x2, the
+    # first layer's product over 32 or more frames rounds differently on two
+    # BLAS threads, which the test sets until the library sets one
+    monkeypatch.setattr(pipeline, "_BLOCK_FRAMES", 32)
+    run = _separation(how, name, tiny_corpus.test_clips[0])
+    get, set_ = blas_threads
+    stems = []
+    for n in (1, 2, 3):
+        set_(2)
+        pool_of(n)
+        stems.append([s.samples.tobytes() for s in run()])
+        assert get() == 2
+    # serial: every forward pass in the calling thread, in block order, with
+    # numpy's BLAS set to one thread here and the library's scope a no-op
+    set_(1)
+    monkeypatch.setattr(parallel, "ONE_BLAS_THREAD", parallel.OneThreadScope(None))
+    pool_of(0)
+    serial = [s.samples.tobytes() for s in run()]
+    assert stems == [serial] * 3
+
+
+def test_one_block_clip_runs_its_forward_pass_inline(tiny_corpus, monkeypatch, pool_of):
+    pool_of(2)
+    threads = []
+
+    def recorded(*args, _real=pipeline.vp_forward, **kwargs):
+        threads.append(threading.get_ident())
+        return _real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "vp_forward", recorded)
+    run = _separation("model", "CVPNN", tiny_corpus.test_clips[0])
+    run()
+    assert threads == [threading.get_ident()]
+    threads.clear()
+    monkeypatch.setattr(pipeline, "_BLOCK_FRAMES", 32)
+    run()
+    assert len(threads) == 5 and threading.get_ident() not in threads
+
+
+def test_failed_separation_waits_for_its_forward_passes(tiny_corpus, monkeypatch,
+                                                       pool_of, blas_threads):
+    # the first block's NaN output fails in the calling thread while later
+    # blocks still run on the pool; they must end before the error leaves
+    get, set_ = blas_threads
+    set_(2)
+    monkeypatch.setattr(pipeline, "_BLOCK_FRAMES", 7)
+    pool_of(3)
+    threads, finished = [], []
+
+    def slow_forward(*args, _real=pipeline.vp_forward, **kwargs):
+        threads.append(get())
+        time.sleep(0.05)
+        result = _real(*args, **kwargs)
+        finished.append(True)
+        return result
+    monkeypatch.setattr(pipeline, "vp_forward", slow_forward)
+    ckpt = fresh_ckpt(width=8, layers=1)
+    ckpt.network.params[:] = np.nan
+    with pytest.raises(VpsepError):
+        separate(ckpt, load_clip_mixture(tiny_corpus.test_clips[0]))
+    assert len(finished) == len(threads) == 4  # the first block and three ahead
+    assert threads == [1] * 4
+    assert get() == 2
+    assert parallel.ONE_BLAS_THREAD._depth == 0
+
+
+def test_concurrent_separations_share_the_pool(tiny_corpus, monkeypatch, blas_threads):
+    # more separating threads than cores, switching often, all submitting to
+    # the one pool and entering the one BLAS scope
+    get, set_ = blas_threads
+    set_(2)
+    monkeypatch.setattr(pipeline, "_BLOCK_FRAMES", 32)
+    run = _separation("model", "WVPNN", tiny_corpus.test_clips[0])
+    want = [s.samples.tobytes() for s in run()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as callers:
+            got = list(callers.map(lambda _: [s.samples.tobytes() for s in run()],
+                                   range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 8
+    assert get() == 2
+    assert parallel.ONE_BLAS_THREAD._depth == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_separates_on_a_pool_of_its_own(tiny_corpus, monkeypatch):
+    # the parent's pool has run tasks, so it has threads, which a child lacks
+    monkeypatch.setattr(pipeline, "_BLOCK_FRAMES", 7)
+    run = _separation("model", "CVPNN", tiny_corpus.test_clips[0])
+    want = run()[0].samples
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads running
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(run()[0].samples, want) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish its separation in 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
 def test_separate_memory_grows_little_per_input_second():
-    # what is held whole is the padded mixture, its complex STFT (0.5 MB per
-    # second) and the two estimates; a whole-clip separation also holds the
-    # encoding, every activation, the output and its decode temporaries,
-    # about 8 MiB per second at 64x2
+    # what is held whole is the padded mixture and the estimates, never its
+    # STFT; a whole-clip separation also holds the encoding, every
+    # activation, the output and its decode temporaries, about 8 MiB per
+    # second at 64x2.  The 10 s clip has two blocks, so it fills only two of
+    # the buffer sets that the 40 s clip fills on a pool of two or more
     ckpt = fresh_ckpt(width=64, layers=2)
     rng = np.random.default_rng(3)
     peaks = {}
@@ -372,6 +522,17 @@ def test_evaluate_restores_lapack_threads(workers, lapack_threads, tiny_corpus):
     set_(2)
     evaluate_ideal(tiny_corpus, filter_len=16, workers=workers)
     assert get() == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluate_restores_blas_threads(workers, blas_threads, tiny_corpus, monkeypatch):
+    # clips of several blocks, so that every evaluation thread uses the pool
+    get, set_ = blas_threads
+    set_(2)
+    monkeypatch.setattr(pipeline, "_BLOCK_FRAMES", 32)
+    evaluate(fresh_ckpt(width=8, layers=1), tiny_corpus, filter_len=16, workers=workers)
+    assert get() == 2
+    assert parallel.ONE_BLAS_THREAD._depth == 0
 
 
 @pytest.mark.skipif((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

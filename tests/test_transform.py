@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,19 @@ def test_color_decode_matches_argmin_reference_bit_for_bit():
         for v in (off_curve, ties):
             got = color_decode(v, n).data
             assert np.array_equal(got, color_decode_argmin(v, n))
+
+
+def test_color_decode_holds_few_whole_planes():
+    # the nearest segment is kept one segment at a time; the three
+    # parameters and distances held at once came to 10.6 planes
+    v = np.random.default_rng(5).uniform(-0.2, 1.2, (3, 1026, 128))
+    tracemalloc.start()
+    try:
+        color_decode(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * v[0].nbytes
 
 
 def test_color_encode_monotone_in_x():
