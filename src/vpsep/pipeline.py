@@ -9,6 +9,7 @@ import struct
 import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -235,47 +236,28 @@ def _block_bins(padded: Waveform, a: int, b: int) -> np.ndarray:
     return stft(_cut(padded, a * HOP, (b - a - 1) * HOP + WINDOW_LEN)).bins
 
 
-def _masked_split(w: Waveform, halo: int, masks_of) -> tuple[Waveform, Waveform]:
+def _masked_split(w: Waveform, halo: int, masked_blocks) -> tuple[Waveform, Waveform]:
     """Both estimates of a 16 kHz mixture, cut to the mixture's length.
 
     The mixture is padded, and its STFT is taken a block of frames at a
-    time (``_blocks``), never whole.  ``masks_of(bins_of, blocks, pool)``,
-    given ``bins_of(a, b)``, frames ``a:b`` of that STFT, returns
-    ``(start, mask)``.  For each block ``k`` in order, ``start(k, bins)``
-    takes its frames ``a:b`` and returns a future, which may run on
-    ``pool``; ``mask(k, result)`` then turns the future's result into the
-    vocal mask of frames ``lo:hi``.  Blocks are started up to the pool's
-    size ahead of the one being masked; a one-block clip gets an inline
-    pool.  The calling thread masks blocks by ``m1`` and overlap-adds them
-    in order, which sums every sample's frames in the order a whole-clip
-    ``istft`` does.  All of it runs with numpy's BLAS on one thread, and a
-    failure waits for the blocks running on the pool before it propagates.
-    The music mask is ``1 - m1`` and the iSTFT is linear and exact where
-    samples are kept, so the music estimate is the mixture minus the vocal
-    estimate."""
+    time (``_blocks``), never whole.  ``masked_blocks(bins_of, blocks)``,
+    given ``bins_of(a, b)``, frames ``a:b`` of that STFT, yields for each
+    block in order its frames ``lo:hi`` of those bins times the vocal mask
+    ``m1``.  They are overlap-added in order, which sums every sample's
+    frames in the order a whole-clip ``istft`` does.  All of it runs with
+    numpy's BLAS on one thread, and the generator is closed inside that
+    scope, so whatever it still runs ends before the count is put back,
+    also when either side fails.  The music mask is ``1 - m1`` and the
+    iSTFT is linear and exact where samples are kept, so the music
+    estimate is the mixture minus the vocal estimate."""
     padded = _pad_waveform(w)
     n_frames = n_frames_for(len(padded))
     blocks = _blocks(n_frames, halo)
-    pool, ahead = parallel.pool() if len(blocks) > 1 else (parallel.INLINE, 0)
     acc = ola_rows(n_frames)
-    pending = deque()  # (k, the block's own bins, future), oldest first
-
-    def finish():
-        k, bins, job = pending.popleft()
-        overlap_add(acc, blocks[k][1], mask(k, job.result()) * bins)
-
-    with parallel.ONE_BLAS_THREAD:
-        try:
-            start, mask = masks_of(lambda a, b: _block_bins(padded, a, b), blocks, pool)
-            for k, (a, lo, hi, b) in enumerate(blocks):
-                bins = _block_bins(padded, a, b)
-                if len(pending) > ahead:
-                    finish()
-                pending.append((k, bins[:, lo - a:hi - a], start(k, bins)))
-            while pending:
-                finish()
-        finally:
-            wait([job for *_, job in pending])
+    with parallel.ONE_BLAS_THREAD, closing(
+            masked_blocks(lambda a, b: _block_bins(padded, a, b), blocks)) as masked:
+        for _, lo, _, _ in blocks:
+            overlap_add(acc, lo, next(masked))
     vocal = _cut(ola_waveform(acc), WINDOW_LEN, len(w))
     return vocal, Waveform(w.samples - vocal.samples, w.sample_rate)
 
@@ -290,58 +272,69 @@ def separate(ckpt: ModelCheckpoint, mix: Waveform) -> tuple[Waveform, Waveform]:
     over the blocks, then encoded, run through the network and turned
     into masks a block of frames at a time; context-3 models see one more
     frame on each side of a block, so a block's output is that of the
-    whole-clip network.  The forward passes run on the pool, into buffers
-    kept for the call, while the calling thread encodes and masks."""
+    whole-clip network.  The calling thread encodes each block and hands
+    its forward pass to the pool, up to the pool's size ahead of the block
+    it masks (a one-block clip runs it inline), into per-layer buffer sets
+    kept for the call.  Any failure waits for the forward passes still
+    running before it propagates."""
     forward, _ = _engine(ckpt.spec.kind)
     encode, _, decode = _codec(ckpt.model, ckpt.color_n)
     net = ckpt.network
 
-    def masks_of(bins_of, blocks, pool):
+    def masked_blocks(bins_of, blocks):
         # the same float as normalize(|whole STFT|).scale: a max is exact
         scale = max(max(float(np.abs(bins_of(lo, hi)).max()) for _, lo, hi, _ in blocks),
                     SCALE_FLOOR)
+        pool, ahead = parallel.pool() if len(blocks) > 1 else (parallel.INLINE, 0)
         cols = max(b - a for a, _, _, b in blocks)
-        spare, held = [], {}  # per-layer output buffers, free and in use by block
+        spare = []  # per-layer output buffer sets not in use
+        pending = deque()  # (block, its own bins, buffer set, future), oldest first
 
-        def start(k, bins):
-            x = encode(normalize(np.abs(bins), scale))
-            held[k] = flat = spare.pop() if spare else [
-                np.empty(math.prod(net.lead + (n, cols))) for n in net.sizes[1:]]
-            shapes = [net.lead + (n, x.shape[-1]) for n in net.sizes[1:]]
-            out = [f[:math.prod(s)].reshape(s) for f, s in zip(flat, shapes)]
-            return pool.submit(forward, net, x, out=out)
+        def finish():
+            (a, lo, hi, _), bins, flat, job = pending.popleft()
+            mags = decode(job.result()[0][..., lo - a:hi - a]).data * scale
+            spare.append(flat)
+            return soft_mask(mags[:N_BINS], mags[N_BINS:]).m1 * bins
 
-        def mask(k, result):
-            a, lo, hi, _ = blocks[k]
-            mags = decode(result[0][..., lo - a:hi - a]).data * scale
-            spare.append(held.pop(k))
-            return soft_mask(mags[:N_BINS], mags[N_BINS:]).m1
-        return start, mask
-    return _masked_split(resample_to_16k(mix), ckpt.spec.context // 2, masks_of)
+        try:
+            for a, lo, hi, b in blocks:
+                bins = bins_of(a, b)
+                if len(pending) > ahead:
+                    yield finish()
+                flat = spare.pop() if spare else [
+                    np.empty(math.prod(net.lead + (n, cols))) for n in net.sizes[1:]]
+                out = [f[:math.prod(s)].reshape(s) for f, s in zip(
+                    flat, (net.lead + (n, b - a) for n in net.sizes[1:]))]
+                pending.append(((a, lo, hi, b), bins[:, lo - a:hi - a], flat, pool.submit(
+                    forward, net, encode(normalize(np.abs(bins), scale)), out=out)))
+            while pending:
+                yield finish()
+        finally:
+            wait([job for *_, job in pending])
+    return _masked_split(resample_to_16k(mix), ckpt.spec.context // 2, masked_blocks)
+
+
+def _check_ideal_kind(kind: str) -> None:
+    if kind not in ("soft", "binary"):
+        raise VpsepError(f"ideal mask kind must be soft or binary, got {kind!r}")
 
 
 def separate_ideal(mix: Waveform, vocal: Waveform, music: Waveform,
                    kind: str = "soft") -> tuple[Waveform, Waveform]:
     """Oracle separation from the true stem magnitudes (mask upper bound).
-    Each block's mask is made in the calling thread from the blocks of the
-    stems' STFTs."""
-    if kind not in ("soft", "binary"):
-        raise VpsepError(f"ideal mask kind must be soft or binary, got {kind!r}")
+    Each block's mask is made from the same block of the stems' STFTs:
+    masks are cellwise, so it is that block of the whole-clip mask."""
+    _check_ideal_kind(kind)
     w, v, m = (resample_to_16k(x) for x in (mix, vocal, music))
     n = min(len(w), len(v), len(m))
     stems = [_pad_waveform(_cut(x, 0, n)) for x in (v, m)]
 
-    def block_mask(lo, hi):
-        # masks are cellwise, so a block's mask is that block of the whole one
-        bv, bm = (np.abs(_block_bins(s, lo, hi)) for s in stems)
-        if kind == "binary":
-            return (bv >= bm).astype(np.float64)
-        return soft_mask(bv, bm).m1
-
-    def masks_of(bins_of, blocks, pool):
-        return (lambda k, bins: parallel.INLINE.submit(block_mask, *blocks[k][1:3]),
-                lambda k, m1: m1)
-    return _masked_split(_cut(w, 0, n), 0, masks_of)
+    def masked_blocks(bins_of, blocks):
+        for _, lo, hi, _ in blocks:
+            bv, bm = (np.abs(_block_bins(s, lo, hi)) for s in stems)
+            m1 = (bv >= bm).astype(np.float64) if kind == "binary" else soft_mask(bv, bm).m1
+            yield m1 * bins_of(lo, hi)
+    return _masked_split(_cut(w, 0, n), 0, masked_blocks)
 
 
 # --- evaluation -------------------------------------------------------------
@@ -462,6 +455,7 @@ def evaluate_ideal(manifest: DatasetManifest, kind: str = "soft",
                    filter_len: int = 512, workers: int = 1,
                    split: str = "test") -> EvalReport:
     """Evaluate the oracle mask built from the true stems (upper bound)."""
+    _check_ideal_kind(kind)
     clips = manifest.split(split)
     return _run_eval(
         clips,

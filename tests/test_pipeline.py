@@ -119,26 +119,32 @@ def test_train_divergence_reported(tiny_corpus, monkeypatch):
 @pytest.mark.parametrize("model, encoder", [("CVPNN", "color_encode"),
                                             ("WVPNN", "window_encode")])
 def test_codec_calls_go_through_pipeline_names(model, encoder, tiny_corpus, monkeypatch):
-    # the benchmark's tracer counts the codec where pipeline looks it up, so
-    # training and separation must both look it up there on every call
+    # the benchmark's tracer counts these where pipeline looks them up, so
+    # training and separation must both look them up there on every call
     calls = {}
-    for name in ("color_encode", "window_encode", "color_decode"):
-        def counted(*args, _fn=getattr(pipeline, name), _name=name):
+    for name in ("color_encode", "window_encode", "color_decode", "stft", "soft_mask",
+                 "resample_to_16k", "vp_forward", "real_forward"):
+        def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(pipeline, name, counted)
     cfg = small_cfg(model=model, hidden_width=8, hidden_layers=1, epochs=2)
     train(cfg, tiny_corpus)
     # each minibatch encodes its mixture and its vocal-over-music targets;
     # the 144 frames of the two clips make 3 minibatches of at most 64
     assert cfg.batch_frames == 64
-    assert calls == {encoder: cfg.epochs * 3 * 2}
+    assert calls == {encoder: cfg.epochs * 3 * 2, "vp_forward": cfg.epochs * 3}
     calls.clear()
     monkeypatch.setattr(pipeline, "_BLOCK_FRAMES", 32)  # 3 blocks of the 80 frames
-    separate(fresh_ckpt(model=model, width=8, layers=1),
-             load_clip_mixture(tiny_corpus.test_clips[0]))
-    assert calls == ({"color_encode": 3, "color_decode": 3} if model == "CVPNN"
-                     else {"window_encode": 3})
+    entry = tiny_corpus.test_clips[0]
+    separate(fresh_ckpt(model=model, width=8, layers=1), load_clip_mixture(entry))
+    # every block's STFT is taken twice: for the scale and for the mask
+    assert calls == {"stft": 6, "soft_mask": 3, "resample_to_16k": 1, "vp_forward": 3,
+                     **({"color_encode": 3, "color_decode": 3} if model == "CVPNN"
+                        else {"window_encode": 3})}
+    calls.clear()
+    separate_ideal(load_clip_mixture(entry), *load_clip_stems(entry), kind="soft")
+    assert calls == {"stft": 9, "soft_mask": 3, "resample_to_16k": 3}
 
 
 def test_separate_preserves_length_and_sum(tiny_corpus):
@@ -361,6 +367,38 @@ def test_failed_separation_waits_for_its_forward_passes(tiny_corpus, monkeypatch
     assert parallel.ONE_BLAS_THREAD._depth == 0
 
 
+def test_failed_overlap_add_waits_for_the_forward_passes(tiny_corpus, monkeypatch,
+                                                         pool_of, blas_threads):
+    # the second block's overlap-add fails in the calling thread while later
+    # blocks still run on the pool; they must end before the error leaves
+    # and before the BLAS thread count is put back
+    get, set_ = blas_threads
+    set_(2)
+    monkeypatch.setattr(pipeline, "_BLOCK_FRAMES", 7)
+    pool_of(3)
+    started, finished, added = [], [], []
+
+    def slow_forward(*args, _real=pipeline.vp_forward, **kwargs):
+        started.append(get())
+        time.sleep(0.05)
+        result = _real(*args, **kwargs)
+        finished.append(get())
+        return result
+
+    def failing_add(*args, _real=pipeline.overlap_add):
+        added.append(True)
+        if len(added) == 2:
+            raise RuntimeError("overlap-add failed")
+        return _real(*args)
+    monkeypatch.setattr(pipeline, "vp_forward", slow_forward)
+    monkeypatch.setattr(pipeline, "overlap_add", failing_add)
+    with pytest.raises(RuntimeError, match="overlap-add failed"):
+        separate(fresh_ckpt(width=8, layers=1), load_clip_mixture(tiny_corpus.test_clips[0]))
+    assert started == finished == [1] * 5  # the first two blocks and three ahead
+    assert get() == 2
+    assert parallel.ONE_BLAS_THREAD._depth == 0
+
+
 def test_concurrent_separations_share_the_pool(tiny_corpus, monkeypatch, blas_threads):
     # more separating threads than cores, switching often, all submitting to
     # the one pool and entering the one BLAS scope
@@ -559,15 +597,23 @@ def test_evaluate_empty_split_raises(tmp_path, tiny_corpus):
         evaluate(ckpt, only_train, split="test")
 
 
-@pytest.mark.parametrize("kw, match", [
+_BAD_EVAL_ARGS = [
     ({"workers": 0}, "workers must be an integer >= 1, got 0"),
     ({"workers": -3}, "workers must be an integer >= 1, got -3"),
     ({"workers": 2.5}, "workers must be an integer >= 1, got 2.5"),
     ({"workers": True}, "workers must be an integer >= 1, got True"),
     ({"filter_len": 0}, "filter_len must be an integer >= 1, got 0"),
     ({"filter_len": 16.0}, "filter_len must be an integer >= 1, got 16.0"),
-])
-@pytest.mark.parametrize("ideal", [False, True])
+    ({"kind": "wiener"}, "ideal mask kind must be soft or binary, got 'wiener'"),
+]
+
+
+# the ids are those two stacked parametrize marks would give; only the
+# ideal masks have a kind
+@pytest.mark.parametrize("ideal, kw, match", [
+    pytest.param(ideal, kw, match, id=f"{ideal}-kw{i}-{match}")
+    for ideal in (False, True) for i, (kw, match) in enumerate(_BAD_EVAL_ARGS)
+    if ideal or "kind" not in kw])
 def test_evaluate_checks_counts_before_reading_clips(kw, match, ideal, tmp_path):
     from vpsep.dataset import ClipEntry
 
