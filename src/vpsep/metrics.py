@@ -5,7 +5,10 @@ true source, interference from the other references, and a residual
 artifact term.  Projections go onto spans of time-delayed reference
 copies (``filter_len`` taps).  A clip's references are prepared once
 (``BssReferences``): their spectra, delay Gram and factored systems
-serve every estimate scored against them.
+serve every estimate scored against them, and ``BssReferences.sdrs``
+scores one estimate (the mixture) against each reference in one pass.
+The Gram is stored in the column order LAPACK reads, and each system is
+factored in place in one copy of it.
 
 A ratio's part with at most ``ENERGY_FLOOR`` times the estimate's energy
 counts as absent, the numerator first: an estimate with no energy scores
@@ -81,9 +84,12 @@ def _project(rf: np.ndarray, taps: np.ndarray, nfft: int, size: int) -> np.ndarr
 
 class BssReferences:
     """A clip's references prepared once for any number of estimates: their
-    spectra and joint delay Gram, indexed (ref, delay, ref, delay).  Each
+    spectra and joint delay Gram.  The Gram is held as the C-order transpose
+    of the (ref, delay, ref, delay) matrix, so that each system is an
+    F-ordered view that LAPACK reads without a transposing copy.  Each
     system is factored on first use and kept: target ``t``'s from a copy of
-    the Gram's ``(t, t)`` block, the joint one from a copy of the whole."""
+    its block, the joint one from a copy of the whole.  The references are
+    checked finite here, so factors and solves skip scipy's finite scans."""
 
     def __init__(self, refs, filter_len: int = 512):
         check_int("filter_len", filter_len, 1)
@@ -98,54 +104,85 @@ class BssReferences:
         self._n = len(refs[0])
         self._nfft = nfft = next_fast_len(self._n + flen - 1)
         self._rf = rf = np.fft.rfft(np.stack(refs), nfft, axis=1)
-        self._gram = gram = np.empty((len(rf), flen, len(rf), flen))
+        # gram_t[j, b, i, a] = <ref_i delayed a, ref_j delayed b>
+        self._gram_t = gram_t = np.empty((len(rf), flen, len(rf), flen))
         for i in range(len(rf)):
             for j in range(i + 1):
                 c = np.fft.irfft(rf[i] * np.conj(rf[j]), nfft)
                 # <ref_i delayed a, ref_j delayed b> = c[b - a], wrapping negative lags
-                gram[i, :, j] = sla.toeplitz(c[-np.arange(flen)], c[:flen])
-                gram[j, :, i] = gram[i, :, j].T
+                blk = sla.toeplitz(c[-np.arange(flen)], c[:flen])
+                gram_t[j, :, i] = blk.T
+                gram_t[i, :, j] = blk  # last: a diagonal block (not exactly symmetric) holds blk
         self._solvers = {}
+
+    def _system(self, key) -> np.ndarray:
+        """A fresh F-ordered copy of target ``key``'s system (None: the joint
+        one), jittered by its own mean diagonal."""
+        g = self._gram_t
+        view = g.reshape(g.shape[0] * g.shape[1], -1) if key is None else g[key, :, key]
+        gram = np.array(view.T, order="F")
+        gram[np.diag_indices_from(gram)] += GRAM_JITTER * np.mean(np.diag(gram))
+        return gram
 
     def _solve(self, key, rhs: np.ndarray) -> np.ndarray:
         """Taps shaped like ``rhs`` for target ``key``'s system (None: the
-        joint one), jittered by its own mean diagonal, then Cholesky, or
-        lstsq when it is numerically singular anyway.  Factor and solve run
-        on one LAPACK thread."""
+        joint one), by Cholesky, factored in place in its ``_system`` copy
+        on one LAPACK thread.  When that system is numerically singular
+        anyway, lstsq on a fresh copy (a failed factor has written over
+        the first), with numpy's BLAS on one thread."""
         with parallel.ONE_LAPACK_THREAD:
             solve = self._solvers.get(key)
             if solve is None:
-                gram = self._gram if key is None else self._gram[key, :, key]
-                gram = gram.reshape(rhs.size, rhs.size).copy()
-                gram[np.diag_indices_from(gram)] += GRAM_JITTER * np.mean(np.diag(gram))
                 try:
-                    solve = partial(sla.cho_solve, sla.cho_factor(gram))
+                    factor = sla.cho_factor(self._system(key), overwrite_a=True,
+                                            check_finite=False)
+                    solve = partial(sla.cho_solve, factor, check_finite=False)
                 except np.linalg.LinAlgError:
-                    solve = partial(lambda g, b: np.linalg.lstsq(g, b, rcond=None)[0],
-                                    gram)
+                    solve = partial(_lstsq, self._system(key))
                 self._solvers[key] = solve
             return solve(rhs.ravel()).reshape(rhs.shape)
 
-    def decompose(self, est, target_index: int = 0) -> Decomposition:
-        """Split an estimate into ``s_target``, its projection onto the true
-        source's delayed span, ``e_interf``, the extra part all references
-        explain jointly, and ``e_artif``, the rest of the padded estimate."""
+    def _decompositions(self, est, targets):
+        """``decompose(est, t)`` for each ``t`` of ``targets`` in turn, from
+        one spectrum of the estimate and one joint projection."""
         est = _as_signal(est)
-        check_int("target_index", target_index, 0)
         rf, nfft, flen = self._rf, self._nfft, self.filter_len
         size = self._n + flen - 1
-        if target_index >= len(rf):
-            raise VpsepError(f"no reference {target_index} among {len(rf)}")
         if len(est) != self._n:
             raise ShapeMismatchError(f"lengths: estimate {len(est)} != references {self._n}")
         ef = np.fft.rfft(est, nfft)
         # one irfft per reference: a single batched irfft rounds differently
         rhs = np.stack([np.fft.irfft(ef * np.conj(r), nfft)[:flen] for r in rf])
-        t = slice(target_index, target_index + 1)
-        s_target = _project(rf[t], self._solve(target_index, rhs[t]), nfft, size)
-        p_all = _project(rf, self._solve(None, rhs), nfft, size) if len(rf) > 1 else s_target
         est_pad = np.concatenate([est, np.zeros(flen - 1)])
-        return Decomposition(s_target, p_all - s_target, est_pad - p_all)
+        p_all = None
+        for t in targets:
+            one = slice(t, t + 1)
+            s_target = _project(rf[one], self._solve(t, rhs[one]), nfft, size)
+            if p_all is None:
+                p_all = (_project(rf, self._solve(None, rhs), nfft, size) if len(rf) > 1
+                         else s_target)
+            yield Decomposition(s_target, p_all - s_target, est_pad - p_all)
+
+    def decompose(self, est, target_index: int = 0) -> Decomposition:
+        """Split an estimate into ``s_target``, its projection onto the true
+        source's delayed span, ``e_interf``, the extra part all references
+        explain jointly, and ``e_artif``, the rest of the padded estimate."""
+        check_int("target_index", target_index, 0)
+        if target_index >= len(self._rf):
+            raise VpsepError(f"no reference {target_index} among {len(self._rf)}")
+        return next(self._decompositions(est, [target_index]))
+
+    def sdrs(self, est) -> list[float]:
+        """The estimate's SDR against each reference in turn: for each
+        target ``t``, the same float as ``sdr_only(est, self, t)``."""
+        return [sdr_sir_sar(d).sdr for d in self._decompositions(est, range(len(self._rf)))]
+
+
+def _lstsq(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The least-squares solution, with numpy's BLAS on one thread: a
+    threaded lstsq rounds differently for each thread count."""
+    with parallel.ONE_BLAS_THREAD:
+        return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
 def bss_decompose(est, refs, target_index: int = 0, filter_len: int = 512) -> Decomposition:

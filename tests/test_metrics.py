@@ -145,15 +145,18 @@ def test_target_projection_ignores_the_other_references(t, flen):
 
 
 def counting_sla(monkeypatch, fail=False):
-    """Stand in for ``metrics.sla``: count ``cho_factor`` calls, and raise
-    ``LinAlgError`` from each one when ``fail`` is set."""
+    """Stand in for ``metrics.sla``: count ``cho_factor`` calls.  When
+    ``fail`` is set, each one writes NaN over its input, as a factor that
+    fails part-way writes over the matrix it factors in place, and raises
+    ``LinAlgError``."""
     calls = []
 
-    def cho_factor(a):
+    def cho_factor(a, **kwargs):
         calls.append(a.shape)
         if fail:
+            a[...] = np.nan
             raise np.linalg.LinAlgError("forced")
-        return scipy.linalg.cho_factor(a)
+        return scipy.linalg.cho_factor(a, **kwargs)
 
     monkeypatch.setattr(vpsep.metrics, "sla", SimpleNamespace(
         cho_factor=cho_factor, cho_solve=scipy.linalg.cho_solve,
@@ -210,6 +213,49 @@ def test_lstsq_fallback_matches_direct_least_squares(flen, monkeypatch):
                 assert np.array_equal(getattr(shared, name), getattr(alone, name))
 
 
+def test_lstsq_fallback_runs_on_one_blas_thread(blas_threads, monkeypatch):
+    # a threaded lstsq rounds differently for each thread count
+    get, set_ = blas_threads
+    set_(2)
+    counting_sla(monkeypatch, fail=True)
+    seen = []
+
+    def lstsq(a, b, *args, _real=np.linalg.lstsq, **kwargs):
+        if a.shape[0] == a.shape[1]:  # the library's solve, not the test's own
+            seen.append(get())
+        return _real(a, b, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    check_direct_least_squares(6)
+    assert seen == [1, 1]  # the target system, then the joint one
+    assert get() == 2
+    assert vpsep.parallel.ONE_BLAS_THREAD._depth == 0
+
+
+@pytest.mark.parametrize("flen", [1, 16])
+@pytest.mark.parametrize("n_refs", [1, 2, 3])
+def test_sdrs_match_sdr_only_per_target(n_refs, flen):
+    rng = np.random.default_rng(16)
+    refs = rng.standard_normal((n_refs, 900))
+    for est in (refs.sum(axis=0) + 0.1 * rng.standard_normal(900),
+                rng.standard_normal(900)):
+        got = BssReferences(refs, flen).sdrs(est)
+        assert got == [sdr_only(est, refs, t, flen) for t in range(n_refs)]
+
+
+def test_scores_keep_their_golden_bits():
+    # float.hex bits of a Gram held in row order and factored in a copy; the
+    # column-ordered Gram, factored in place, must keep every one of them
+    rng = np.random.default_rng(2006)
+    refs = rng.standard_normal((2, 2400))
+    est = 0.9 * refs[0] + 0.3 * np.roll(refs[1], 7) + 0.05 * rng.standard_normal(2400)
+    prepared = BssReferences(refs, 512)
+    golden = [("0x1.45bd226adb28ep+3", "0x1.491fae5ed4eecp+3", "0x1.ac134ab84254cp+4"),
+              ("-0x1.e80f733c5a7bap+1", "-0x1.e6666558b5fe3p+1", "0x1.ac134ab84254cp+4")]
+    for t, want in enumerate(golden):
+        r = sdr_sir_sar(prepared.decompose(est, t))
+        assert (r.sdr.hex(), r.sir.hex(), r.sar.hex()) == want
+
+
 def test_shared_references_validation():
     s = np.ones(100)
     prepared = BssReferences([s, -s + np.arange(100)], 4)
@@ -221,6 +267,8 @@ def test_shared_references_validation():
         sdr_only(s, prepared, 0)
     with pytest.raises(ShapeMismatchError, match="lengths"):
         prepared.decompose(np.ones(99), 0)
+    with pytest.raises(ShapeMismatchError, match="lengths"):
+        prepared.sdrs(np.ones(99))
     with pytest.raises(VpsepError, match="no reference 2 among 2"):
         prepared.decompose(s, 2)
     for bad in (-1, 1.0, True):
@@ -338,11 +386,11 @@ def counting_threads(monkeypatch, get, fail=False):
     each ``cho_factor`` call, and raise ``RuntimeError`` when ``fail`` is set."""
     seen = []
 
-    def cho_factor(a):
+    def cho_factor(a, **kwargs):
         seen.append(get())
         if fail:
             raise RuntimeError("forced")
-        return scipy.linalg.cho_factor(a)
+        return scipy.linalg.cho_factor(a, **kwargs)
 
     monkeypatch.setattr(vpsep.metrics, "sla", SimpleNamespace(
         cho_factor=cho_factor, cho_solve=scipy.linalg.cho_solve,

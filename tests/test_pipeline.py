@@ -29,6 +29,7 @@ from vpsep import (
     load_manifest,
     resample_to_16k,
     separate,
+    sdr_only,
     separate_ideal,
     train,
 )
@@ -340,6 +341,25 @@ def test_one_block_clip_runs_its_forward_pass_inline(tiny_corpus, monkeypatch, p
     assert len(threads) == 5 and threading.get_ident() not in threads
 
 
+def test_one_block_clip_takes_its_stft_once(tiny_corpus, monkeypatch):
+    # the scale pass and the mask pass share a one-block clip's bins; a
+    # clip in blocks takes each block's bins in both passes
+    calls = []
+
+    def counted(*args, _real=pipeline.stft, **kwargs):
+        calls.append(1)
+        return _real(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "stft", counted)
+    ckpt = fresh_ckpt(model="WVPNN", width=8, layers=1)
+    mix = load_clip_mixture(tiny_corpus.test_clips[0])
+    separate(ckpt, mix)
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(pipeline, "_BLOCK_FRAMES", 32)  # 3 blocks of the 80 frames
+    separate(ckpt, mix)
+    assert len(calls) == 6
+
+
 def test_failed_separation_waits_for_its_forward_passes(tiny_corpus, monkeypatch,
                                                        pool_of, blas_threads):
     # the first block's NaN output fails in the calling thread while later
@@ -540,6 +560,16 @@ def test_evaluate_table_layout(tiny_corpus):
     per_clip = report.per_clip_tsv()
     assert per_clip.startswith("clip_id\tsource\tn_samples\tSDR\tSIR\tSAR\tNSDR")
     assert len(per_clip.strip().split("\n")) == 5
+
+
+def test_evaluate_mixture_sdr_is_sdr_only(tiny_corpus):
+    report = evaluate_ideal(tiny_corpus, filter_len=16)
+    for c in report.clips:
+        entry = next(e for e in tiny_corpus.test_clips if e.clip_id == c.clip_id)
+        refs = [s.samples[:c.n_samples] for s in load_clip_stems(entry)]
+        mix = load_clip_mixture(entry).samples[:c.n_samples]
+        target = ("vocal", "music").index(c.source)
+        assert c.mix_sdr == sdr_only(mix, refs, target, filter_len=16)
 
 
 def test_evaluate_parallel_matches_serial(tiny_corpus):
