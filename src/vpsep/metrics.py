@@ -8,7 +8,17 @@ copies (``filter_len`` taps).  A clip's references are prepared once
 serve every estimate scored against them, and ``BssReferences.sdrs``
 scores one estimate (the mixture) against each reference in one pass.
 The Gram is stored in the column order LAPACK reads, and each system is
-factored in place in one copy of it.
+factored in place in one copy of it.  Once every system is factored (one
+per reference, plus the joint one), the Gram is released and each factor
+is kept as its packed upper triangle: ``k * L * (k * L + 1) / 2 + k * L *
+(L + 1) / 2`` floats for ``k`` references at ``filter_len`` L, beside the
+spectra's 16 B per bin per reference.  For two references at
+``filter_len`` 512 that is 6 MiB of factors, and about 7 MiB in all for
+a 4 s clip, against 20 MiB with the Gram and full factors.  ``pipeline`` keeps one such set, with the
+mixture's SDRs, for the clip it scored last, keyed by the sample count,
+``filter_len`` and a digest of the exact vocal, music and mixture samples:
+a table scored one clip per call, clip-major, prepares each clip once,
+while whole-split calls made row after row never hit it.
 
 A ratio's part with at most ``ENERGY_FLOOR`` times the estimate's energy
 counts as absent, the numerator first: an estimate with no energy scores
@@ -31,6 +41,7 @@ from functools import partial
 import numpy as np
 from scipy import linalg as sla
 from scipy.fft import next_fast_len
+from scipy.linalg.lapack import dtpttr, dtrttp
 
 from . import parallel
 from .errors import ShapeMismatchError, VpsepError, check_int
@@ -88,7 +99,9 @@ class BssReferences:
     of the (ref, delay, ref, delay) matrix, so that each system is an
     F-ordered view that LAPACK reads without a transposing copy.  Each
     system is factored on first use and kept: target ``t``'s from a copy of
-    its block, the joint one from a copy of the whole.  The references are
+    its block, the joint one from a copy of the whole.  When every system
+    is, the Gram is dropped.  Prepared references whose systems are all
+    factored are only read, so threads may share them.  The references are
     checked finite here, so factors and solves skip scipy's finite scans."""
 
     def __init__(self, refs, filter_len: int = 512):
@@ -104,6 +117,15 @@ class BssReferences:
         self._n = len(refs[0])
         self._nfft = nfft = next_fast_len(self._n + flen - 1)
         self._rf = rf = np.fft.rfft(np.stack(refs), nfft, axis=1)
+        # Every system's packed factor, in one buffer made before the Gram
+        # (the joint system is solved only beside another reference).  Below
+        # the Gram's space, the factors kept fragment the heap less: on a
+        # 2-vCPU VM the evaluate-table benchmark peaked at 173.1-173.5 MiB
+        # RSS, against 175.0 with one array per factor made as it is factored.
+        keys = [*range(len(rf)), None] if len(rf) > 1 else [0]
+        sides = [flen * len(rf) if key is None else flen for key in keys]
+        sizes = np.cumsum([m * (m + 1) // 2 for m in sides])
+        self._packed = dict(zip(keys, np.split(np.empty(sizes[-1]), sizes[:-1])))
         # gram_t[j, b, i, a] = <ref_i delayed a, ref_j delayed b>
         self._gram_t = gram_t = np.empty((len(rf), flen, len(rf), flen))
         for i in range(len(rf)):
@@ -127,19 +149,23 @@ class BssReferences:
     def _solve(self, key, rhs: np.ndarray) -> np.ndarray:
         """Taps shaped like ``rhs`` for target ``key``'s system (None: the
         joint one), by Cholesky, factored in place in its ``_system`` copy
-        on one LAPACK thread.  When that system is numerically singular
-        anyway, lstsq on a fresh copy (a failed factor has written over
-        the first), with numpy's BLAS on one thread."""
+        on one LAPACK thread and kept packed.  When that system is
+        numerically singular anyway, lstsq on a fresh copy (a failed factor
+        has written over the first), with numpy's BLAS on one thread."""
         with parallel.ONE_LAPACK_THREAD:
             solve = self._solvers.get(key)
             if solve is None:
                 try:
-                    factor = sla.cho_factor(self._system(key), overwrite_a=True,
-                                            check_finite=False)
-                    solve = partial(sla.cho_solve, factor, check_finite=False)
+                    upper, _ = sla.cho_factor(self._system(key), overwrite_a=True,
+                                              check_finite=False)
+                    packed = self._packed[key]
+                    packed[...] = dtrttp(upper)[0]
+                    solve = partial(_packed_cho_solve, len(upper), packed)
                 except np.linalg.LinAlgError:
                     solve = partial(_lstsq, self._system(key))
                 self._solvers[key] = solve
+                if self._solvers.keys() >= self._packed.keys():
+                    self._gram_t = None
             return solve(rhs.ravel()).reshape(rhs.shape)
 
     def _decompositions(self, est, targets):
@@ -176,6 +202,13 @@ class BssReferences:
         """The estimate's SDR against each reference in turn: for each
         target ``t``, the same float as ``sdr_only(est, self, t)``."""
         return [sdr_sir_sar(d).sdr for d in self._decompositions(est, range(len(self._rf)))]
+
+
+def _packed_cho_solve(n: int, packed: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``cho_solve`` with an upper Cholesky factor held as its packed triangle,
+    unpacked into a fresh F-ordered array: the same bits as the full factor,
+    since the solve reads only the upper triangle."""
+    return sla.cho_solve((dtpttr(n, packed)[0], False), rhs, check_finite=False)
 
 
 def _lstsq(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:

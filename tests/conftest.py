@@ -1,12 +1,24 @@
 import json
 import struct
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import vpsep.metrics
 import vpsep.parallel
+import vpsep.pipeline
 from vpsep import synth_dataset
+
+
+@pytest.fixture(autouse=True)
+def empty_clip_memo(monkeypatch):
+    """Each test starts with an empty one-clip memo of scored references:
+    the corpus is shared by the session, so a clip scored by one test could
+    otherwise be a hit in the next."""
+    monkeypatch.setattr(vpsep.pipeline, "_clip_memo", None)
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +37,26 @@ def _thread_count(scope, library):
     before = get()
     yield scope.threads
     set_(before)
+
+
+def counting_sla(monkeypatch, fail=False):
+    """Stand in for ``metrics.sla``: count ``cho_factor`` calls.  When
+    ``fail`` is set, each one writes NaN over its input, as a factor that
+    fails part-way writes over the matrix it factors in place, and raises
+    ``LinAlgError``."""
+    calls = []
+
+    def cho_factor(a, **kwargs):
+        calls.append(a.shape)
+        if fail:
+            a[...] = np.nan
+            raise np.linalg.LinAlgError("forced")
+        return scipy.linalg.cho_factor(a, **kwargs)
+
+    monkeypatch.setattr(vpsep.metrics, "sla", SimpleNamespace(
+        cho_factor=cho_factor, cho_solve=scipy.linalg.cho_solve,
+        toeplitz=scipy.linalg.toeplitz))
+    return calls
 
 
 @pytest.fixture

@@ -8,8 +8,14 @@ test clip, so a diff shows which stem moved.
 For the trained CVPNN and DNN1 and for the soft and binary ideal masks
 it also prints every test clip's SDR, SIR, SAR and mixture SDR as
 ``float.hex`` at ``filter_len`` 512 and 32; the ideal masks print the
-stems of ``separate_ideal`` for the first test clip as well.  Run it
-once per version and compare the outputs::
+stems of ``separate_ideal`` for the first test clip as well.  Those calls
+score the whole split row after row.  A last, clip-major section scores
+the CVPNN, DNN1 and soft ideal rows at ``filter_len`` 512 one test clip
+per call, every row of a clip before the next clip, as a results table
+is scored, and prints the same four values under the labels
+``<row>/clip-major``: there a clip's later rows reuse the references and
+mixture SDRs its first row prepared.
+Run it once per version and compare the outputs::
 
     PYTHONPATH=old/src python tests/parity.py > old.txt
     PYTHONPATH=new/src python tests/parity.py > new.txt
@@ -111,8 +117,9 @@ def compare(old_path, new_path) -> int:
 
 def run() -> int:
     import vpsep
-    from vpsep import (ExperimentConfig, checkpoint_save, evaluate, evaluate_ideal,
-                       separate, separate_ideal, synth_dataset, train, wav_read)
+    from vpsep import (DatasetManifest, ExperimentConfig, checkpoint_save, evaluate,
+                       evaluate_ideal, separate, separate_ideal, synth_dataset, train,
+                       wav_read)
 
     print(f"vpsep imported from {vpsep.__file__}", file=sys.stderr)
     print(setup_line())
@@ -120,6 +127,7 @@ def run() -> int:
         manifest = synth_dataset(Path(tmp) / "corpus", seed=0)
         clip = manifest.test_clips[0]
         mix = wav_read(clip.mix_path)
+        rows = {}  # row label -> one-row evaluation of a manifest at filter_len 512
         for model in MODELS:
             config = ExperimentConfig(model=model, hidden_width=64,
                                       hidden_layers=2, epochs=2, seed=0)
@@ -131,6 +139,7 @@ def run() -> int:
             print(f"{model} sha256 {digest}")
             print_stems(f"{model} {clip.clip_id}", separate(ckpt, mix))
             if model in EVALUATED:
+                rows[model] = lambda one, ckpt=ckpt: evaluate(ckpt, one, filter_len=512)
                 for flen in FILTER_LENS:
                     print_evaluation(f"{model} filter_len={flen}",
                                      evaluate(ckpt, manifest, filter_len=flen))
@@ -141,6 +150,11 @@ def run() -> int:
             for flen in FILTER_LENS:
                 print_evaluation(f"IDEAL-{kind} filter_len={flen}",
                                  evaluate_ideal(manifest, kind=kind, filter_len=flen))
+        rows["IDEAL-soft"] = lambda one: evaluate_ideal(one, kind="soft", filter_len=512)
+        for entry in manifest.test_clips:
+            one = DatasetManifest(manifest.root, (entry,))
+            for label, row in rows.items():
+                print_evaluation(f"{label}/clip-major filter_len=512", row(one))
     return 0
 
 

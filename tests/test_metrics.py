@@ -21,6 +21,8 @@ from vpsep import (
 from vpsep.errors import ShapeMismatchError, VpsepError
 from vpsep.metrics import _ratio_db
 
+from conftest import counting_sla
+
 
 def two_tones(n=4000, rate=16000):
     """Orthogonal equal-energy references: sinusoids at exact DFT bins."""
@@ -142,26 +144,6 @@ def test_target_projection_ignores_the_other_references(t, flen):
     joint = bss_decompose(est, refs, t, filter_len=flen)
     alone = bss_decompose(est, refs[t:t + 1], 0, filter_len=flen)
     assert np.array_equal(joint.s_target, alone.s_target)
-
-
-def counting_sla(monkeypatch, fail=False):
-    """Stand in for ``metrics.sla``: count ``cho_factor`` calls.  When
-    ``fail`` is set, each one writes NaN over its input, as a factor that
-    fails part-way writes over the matrix it factors in place, and raises
-    ``LinAlgError``."""
-    calls = []
-
-    def cho_factor(a, **kwargs):
-        calls.append(a.shape)
-        if fail:
-            a[...] = np.nan
-            raise np.linalg.LinAlgError("forced")
-        return scipy.linalg.cho_factor(a, **kwargs)
-
-    monkeypatch.setattr(vpsep.metrics, "sla", SimpleNamespace(
-        cho_factor=cho_factor, cho_solve=scipy.linalg.cho_solve,
-        toeplitz=scipy.linalg.toeplitz))
-    return calls
 
 
 @pytest.mark.parametrize("flen", [1, 16])

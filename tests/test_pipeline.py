@@ -17,6 +17,7 @@ from vpsep import (
     MODELS,
     N_BINS,
     TARGET_RATE,
+    BssReferences,
     ExperimentConfig,
     ModelCheckpoint,
     Waveform,
@@ -43,7 +44,7 @@ from vpsep.errors import (
 )
 from vpsep.pipeline import checkpoint_summary
 
-from conftest import DROP, with_meta
+from conftest import DROP, counting_sla, with_meta
 
 
 def small_cfg(**kw):
@@ -572,13 +573,15 @@ def test_evaluate_mixture_sdr_is_sdr_only(tiny_corpus):
         assert c.mix_sdr == sdr_only(mix, refs, target, filter_len=16)
 
 
-def test_evaluate_parallel_matches_serial(tiny_corpus):
+def test_evaluate_parallel_matches_serial(tiny_corpus, monkeypatch):
     # each clip is scored on its own thread from its own prepared
     # references, so every per-clip value keeps its bits
     ckpt = fresh_ckpt()
     for run in (lambda w: evaluate(ckpt, tiny_corpus, filter_len=16, workers=w),
                 lambda w: evaluate_ideal(tiny_corpus, filter_len=16, workers=w)):
-        serial, parallel = run(1), run(2)
+        serial = run(1)
+        monkeypatch.setattr(pipeline, "_clip_memo", None)  # so both runs score
+        parallel = run(2)
         assert len(serial.clips) == 4
         assert parallel.clips == serial.clips
         assert (parallel.vocal, parallel.music) == (serial.vocal, serial.music)
@@ -606,13 +609,14 @@ def test_evaluate_restores_blas_threads(workers, blas_threads, tiny_corpus, monk
 @pytest.mark.skipif((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count()) < 2, reason="needs 2 usable CPUs")
 def test_evaluate_ideal_scores_do_not_depend_on_lapack_threads(lapack_threads,
-                                                               tiny_corpus):
+                                                               tiny_corpus, monkeypatch):
     # a threaded Cholesky of the 1024-row joint system rounds differently
     # for each thread count; scoring factors on one thread whatever the caller set
     _, set_ = lapack_threads
     reports = []
     for threads in (1, 2):
         set_(threads)
+        monkeypatch.setattr(pipeline, "_clip_memo", None)  # so each count factors
         reports.append(evaluate_ideal(tiny_corpus, kind="binary", filter_len=512))
     assert reports[0].clips == reports[1].clips
 
@@ -708,6 +712,128 @@ def test_evaluate_ideal_reports_oracle_label(tiny_corpus):
     assert report.model == "IDEAL-soft"
     assert report.arch == "-"
     assert report.vocal.gnsdr > 0.0
+
+
+def hex_rows(report):
+    """A report's per-clip rows, every score as ``float.hex``."""
+    return [(c.clip_id, c.source, c.n_samples,
+             *(x.hex() for x in (c.sdr, c.sir, c.sar, c.mix_sdr))) for c in report.clips]
+
+
+def one_clip(manifest, entry):
+    return DatasetManifest(manifest.root, (entry,))
+
+
+@pytest.fixture(scope="module")
+def three_clips(tmp_path_factory):
+    return synth_dataset(tmp_path_factory.mktemp("three"), seed=23, n_train=1, n_test=3,
+                         duration_s=1.0)
+
+
+def test_clip_major_calls_match_whole_split_rows(three_clips, monkeypatch):
+    # a results table scored clip by clip prepares each clip's references
+    # once for all of its rows, and every row keeps the bits of a one-row call
+    cvpnn, dnn1 = fresh_ckpt(width=8, layers=1), fresh_ckpt("DNN1", width=8, layers=1)
+    rows = {"CVPNN": lambda m: evaluate(cvpnn, m, filter_len=512),
+            "DNN1": lambda m: evaluate(dnn1, m, filter_len=512),
+            "IDEAL-soft": lambda m: evaluate_ideal(m, kind="soft", filter_len=512)}
+    whole = {}
+    for label, run in rows.items():
+        monkeypatch.setattr(pipeline, "_clip_memo", None)
+        whole[label] = hex_rows(run(three_clips))
+    monkeypatch.setattr(pipeline, "_clip_memo", None)
+    prepared = []
+    monkeypatch.setattr(pipeline, "BssReferences",
+                        lambda *args: prepared.append(args) or BssReferences(*args))
+    clip_major = {label: [] for label in rows}
+    for entry in three_clips.test_clips:
+        for label, run in rows.items():
+            clip_major[label] += hex_rows(run(one_clip(three_clips, entry)))
+    assert clip_major == whole
+    assert len(prepared) == 3
+
+
+def test_rewritten_stem_is_scored_afresh(tmp_path, monkeypatch):
+    # the memo is keyed by the samples scored, not by the clip's files
+    manifest = synth_dataset(tmp_path, seed=24, n_train=1, n_test=1, duration_s=1.0)
+    entry = manifest.test_clips[0]
+    ckpt = fresh_ckpt(width=8, layers=1)
+    before = hex_rows(evaluate(ckpt, manifest, filter_len=64))
+    vocal = wav_read(entry.vocal_path)
+    wav_write(entry.vocal_path, Waveform(0.5 * np.roll(vocal.samples, 160), vocal.sample_rate),
+              fmt="float32")
+    after = hex_rows(evaluate(ckpt, manifest, filter_len=64))
+    monkeypatch.setattr(pipeline, "_clip_memo", None)
+    assert after == hex_rows(evaluate(ckpt, manifest, filter_len=64))
+    assert after != before
+
+
+def test_parallel_evaluation_interleaves_with_one_clip_calls(three_clips, monkeypatch):
+    # threads only read a published entry, so every call, on the pool or
+    # not, gives the rows of a fresh computation
+    ckpt = fresh_ckpt(width=8, layers=1)
+    run = lambda m, workers=1: hex_rows(evaluate(ckpt, m, filter_len=512, workers=workers))
+    clips = three_clips.test_clips
+    fresh = {}
+    for entry in clips:
+        monkeypatch.setattr(pipeline, "_clip_memo", None)
+        fresh[entry.clip_id] = run(one_clip(three_clips, entry))
+    whole = [row for entry in clips for row in fresh[entry.clip_id]]
+    for step in (clips[2], None, clips[2], clips[0], None, clips[1], None):
+        if step is None:
+            assert run(three_clips, workers=2) == whole
+        else:
+            assert run(one_clip(three_clips, step)) == fresh[step.clip_id]
+
+
+def test_memo_shared_by_many_threads_gives_fresh_rows(three_clips, monkeypatch):
+    # more threads than cores, switching often, each scoring clips one per
+    # call in its own order: a stale or torn entry would change some row
+    clips = three_clips.test_clips
+    score = lambda i: hex_rows(evaluate_ideal(one_clip(three_clips, clips[i]), filter_len=16))
+    fresh = {}
+    for i in range(len(clips)):
+        monkeypatch.setattr(pipeline, "_clip_memo", None)
+        fresh[i] = score(i)
+    orders = [np.random.default_rng(k).permutation(3 * len(clips)) % len(clips)
+              for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            jobs = [pool.submit(lambda order: [(i, score(i)) for i in order], order)
+                    for order in orders]
+            results = [job.result(timeout=120) for job in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(rows == fresh[i] for result in results for i, rows in result)
+
+
+def test_repeat_call_on_a_clip_factors_nothing(tiny_corpus, monkeypatch):
+    calls = counting_sla(monkeypatch)
+    one = one_clip(tiny_corpus, tiny_corpus.test_clips[0])
+    first = evaluate_ideal(one, filter_len=16)
+    assert calls == [(16, 16), (32, 32), (16, 16)]  # target 0, the joint system, target 1
+    assert evaluate(fresh_ckpt(width=8, layers=1), one, filter_len=16).clips[0].mix_sdr == (
+        first.clips[0].mix_sdr)
+    assert evaluate_ideal(one, filter_len=16).clips == first.clips
+    assert len(calls) == 3
+    evaluate_ideal(one, filter_len=8)  # the key holds filter_len
+    assert calls[3:] == [(8, 8), (16, 16), (8, 8)]
+
+
+def test_memo_holds_one_clip_in_packed_factors(tmp_path):
+    # a 4 s clip at filter_len 512 leaves its spectra and packed factors,
+    # about 7 MiB; its Gram and full factors would hold about 20
+    manifest = synth_dataset(tmp_path, seed=25, n_train=1, n_test=1, duration_s=4.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate_ideal(manifest, filter_len=512)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 6 * 2**20 < held < 8 * 2**20
 
 
 def test_checkpoint_roundtrip_preserves_behavior(tiny_corpus, tmp_path):
