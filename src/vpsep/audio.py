@@ -104,18 +104,25 @@ def resample_to_16k(w: Waveform) -> Waveform:
     Polyphase windowed-sinc filter, Kaiser beta=8 with 64 taps per
     phase, cut off at the new Nyquist.  Upsampling is rejected.
     """
-    if w.sample_rate == TARGET_RATE:
+    up, down = _resample_ratio(w.sample_rate)
+    if up == down:
         return w
-    if w.sample_rate < TARGET_RATE:
-        raise AudioError(
-            f"cannot upsample {w.sample_rate} Hz to {TARGET_RATE} Hz"
-        )
-    g = math.gcd(w.sample_rate, TARGET_RATE)
-    up = TARGET_RATE // g
-    down = w.sample_rate // g
     taps = signal.firwin(64 * up + 1, 1.0 / down, window=("kaiser", 8.0))
     out = signal.resample_poly(w.samples, up, down, window=taps)
     return Waveform(out, TARGET_RATE)
+
+
+def _resample_ratio(rate: int) -> tuple[int, int]:  # resample_to_16k's factors
+    if rate < TARGET_RATE:
+        raise AudioError(f"cannot upsample {rate} Hz to {TARGET_RATE} Hz")
+    g = math.gcd(rate, TARGET_RATE)
+    return TARGET_RATE // g, rate // g
+
+
+def resampled_length(w: Waveform) -> int:
+    """``len(resample_to_16k(w))``, without resampling: ceil(n up / down)."""
+    up, down = _resample_ratio(w.sample_rate)
+    return -(-len(w) * up // down)
 
 
 def n_frames_for(n_samples: int) -> int:

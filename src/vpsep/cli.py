@@ -6,8 +6,8 @@
     vpsep evaluate --checkpoint model.ckpt --data corpus --out report.tsv
     vpsep info     model.ckpt
 
-Settings resolve as: built-in defaults, then an optional ``--config`` file
-of flat ``key = value`` lines, then explicit flags.
+``train``'s settings resolve as: built-in defaults, then an optional
+``--config`` file of flat ``key = value`` lines, then explicit flags.
 """
 
 from __future__ import annotations
@@ -85,22 +85,11 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config = make_config(
-        args.config,
-        filter_len=args.filter_len,
-        workers=args.workers,
-    )
     manifest = load_manifest(args.data)
     if args.ideal is not None:
-        report = evaluate_ideal(
-            manifest, kind=args.ideal, filter_len=config.filter_len,
-            workers=config.workers, split=args.split,
-        )
+        report = evaluate_ideal(manifest, kind=args.ideal, split=args.split)
     else:
-        report = evaluate(
-            checkpoint_load(args.checkpoint), manifest, filter_len=config.filter_len,
-            workers=config.workers, split=args.split,
-        )
+        report = evaluate(checkpoint_load(args.checkpoint), manifest, split=args.split)
     if report.skipped:
         print(f"skipped (silent stem): {' '.join(report.skipped)}", file=sys.stderr)
     table = report.table_tsv()
@@ -165,10 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scored.add_argument("--ideal", choices=("soft", "binary"), default=None,
                         help="score the oracle mask instead of a checkpoint")
     p.add_argument("--data", required=True, help="corpus root directory")
-    p.add_argument("--config", default=None, help="key = value settings file")
     p.add_argument("--split", choices=("train", "test"), default="test")
-    p.add_argument("--filter-len", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None, help="also write the summary table here")
     p.add_argument("--per-clip", default=None, help="write per-clip metrics here")
     p.set_defaults(func=_cmd_evaluate)

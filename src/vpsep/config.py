@@ -50,8 +50,6 @@ class ExperimentConfig:
     batch_frames: int = 128
     epochs: int = 100
     seed: int = 0
-    filter_len: int = 512
-    workers: int = 1
 
     def __post_init__(self):
         if self.model not in MODEL_SPECS:
@@ -61,8 +59,7 @@ class ExperimentConfig:
         if self.hidden_width is None:
             object.__setattr__(self, "hidden_width", self.spec.width)
         for name, low in (("hidden_width", 1), ("hidden_layers", 1),
-                          ("batch_frames", 1), ("epochs", 0), ("seed", 0),
-                          ("filter_len", 1), ("workers", 1)):
+                          ("batch_frames", 1), ("epochs", 0), ("seed", 0)):
             check_int(name, getattr(self, name), low, ConfigError)
         if isinstance(self.lr, bool) or not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")

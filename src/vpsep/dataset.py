@@ -27,6 +27,7 @@ from .audio import (
     Waveform,
     n_frames_for,
     resample_to_16k,
+    resampled_length,
     stft,
     wav_read,
     wav_write,
@@ -266,8 +267,8 @@ def load_training_frames(manifest: DatasetManifest) -> tuple[np.ndarray, np.ndar
     train = manifest.train_clips
     if not train:
         raise DatasetError("manifest has no training clips")
-    def n_frames(entry):  # from one stem's length, with no STFT
-        return n_frames_for(len(resample_to_16k(wav_read(entry.vocal_path))))
+    def n_frames(entry):  # from one stem's length, with no resampling or STFT
+        return n_frames_for(resampled_length(wav_read(entry.vocal_path)))
 
     counts = [_of_clip(entry, n_frames) for entry in train]
     total = sum(counts)

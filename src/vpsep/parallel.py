@@ -99,19 +99,24 @@ class _Inline:
 
 INLINE = _Inline()
 
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 _pool = None  # (pid, executor, size), made on first use
 _pool_lock = threading.Lock()
 
 
 def pool() -> tuple[ThreadPoolExecutor, int]:
-    """The process's thread pool, one thread per CPU this process may run
-    on, and its size.  A process made by ``os.fork`` makes its own: the
-    parent's threads do not exist there, so a task given to the parent's
-    pool would never run."""
+    """The process's thread pool, one thread per usable CPU, and its size.
+    A process made by ``os.fork`` makes its own: the parent's threads do
+    not exist there, so a task given to the parent's pool would never run."""
     global _pool
     with _pool_lock:
         if _pool is None or _pool[0] != os.getpid():
-            size = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
+            size = usable_cpus()
             _pool = (os.getpid(), ThreadPoolExecutor(size, "vpsep"), size)
         return _pool[1], _pool[2]

@@ -437,9 +437,7 @@ def _clip_rows(entry: ClipEntry, estimate_fn, filter_len: int) -> list[ClipEval]
     if not np.all(np.any(refs, axis=1)):
         return None
     mix_t = Waveform(mix.samples[:n], TARGET_RATE)
-    voc_t = Waveform(refs[0], TARGET_RATE)
-    mus_t = Waveform(refs[1], TARGET_RATE)
-    est_v, est_m = estimate_fn(mix_t, voc_t, mus_t)
+    est_v, est_m = estimate_fn(mix_t, *(Waveform(r, TARGET_RATE) for r in refs))
     refs, mix_sdrs = _clip_references(refs, np.ascontiguousarray(mix_t.samples), filter_len)
     rows = []
     for idx, (name, est) in enumerate((("vocal", est_v), ("music", est_m))):
@@ -451,13 +449,16 @@ def _clip_rows(entry: ClipEntry, estimate_fn, filter_len: int) -> list[ClipEval]
     return rows
 
 
-def _run_eval(clips, estimate_fn, filter_len: int, workers: int,
+def _run_eval(clips, estimate_fn, filter_len: int, workers: int | None,
               model: str, arch: str, context: int) -> EvalReport:
-    check_int("workers", workers, 1)
+    if workers is not None:
+        check_int("workers", workers, 1)
     check_int("filter_len", filter_len, 1)
     if not clips:
         raise DatasetError("no clips to evaluate in the requested split")
-    if workers > 1:
+    if workers is None:
+        workers = min(parallel.usable_cpus(), len(clips))
+    if workers > 1:  # not on parallel.pool(): separate() hands it forward passes
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_clip = list(pool.map(
                 lambda e: _clip_rows(e, estimate_fn, filter_len), clips))
@@ -479,10 +480,11 @@ def _run_eval(clips, estimate_fn, filter_len: int, workers: int,
 
 
 def evaluate(ckpt: ModelCheckpoint, manifest: DatasetManifest,
-             filter_len: int = 512, workers: int = 1,
+             filter_len: int = 512, workers: int | None = None,
              split: str = "test") -> EvalReport:
     """Separate every clip in the split and report per-clip and
-    length-weighted global metrics for both estimated sources."""
+    length-weighted global metrics for both estimated sources, scored on
+    ``workers`` threads (None: one per usable CPU, at most one per clip)."""
     clips = manifest.split(split)
     return _run_eval(
         clips,
@@ -492,7 +494,7 @@ def evaluate(ckpt: ModelCheckpoint, manifest: DatasetManifest,
 
 
 def evaluate_ideal(manifest: DatasetManifest, kind: str = "soft",
-                   filter_len: int = 512, workers: int = 1,
+                   filter_len: int = 512, workers: int | None = None,
                    split: str = "test") -> EvalReport:
     """Evaluate the oracle mask built from the true stems (upper bound)."""
     _check_ideal_kind(kind)

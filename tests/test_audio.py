@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 import warnings
@@ -24,7 +25,7 @@ from vpsep import (
     wav_read,
     wav_write,
 )
-from vpsep.audio import n_frames_for
+from vpsep.audio import n_frames_for, resampled_length
 from vpsep.errors import AudioError, ShapeMismatchError, WavFormatError
 
 
@@ -62,6 +63,19 @@ def test_resample_identity_at_target_rate():
 def test_resample_rejects_upsampling():
     with pytest.raises(AudioError):
         resample_to_16k(Waveform(np.zeros(100), 8000))
+
+
+@pytest.mark.parametrize("rate", [22050, 32000, 44100, 48000, 96000])
+def test_resampled_length_is_the_resampler_length(rate):
+    # ceil(n up / down) takes every remainder mod down from 1 to down + 1 samples
+    down = rate // math.gcd(rate, TARGET_RATE)
+    x = np.zeros(123457)
+    for n in [*range(1, down + 2), 4095, 44100, 96001, 123456, 123457]:
+        w = Waveform(x[:n], rate)
+        assert resampled_length(w) == len(resample_to_16k(w)), n
+    assert resampled_length(Waveform(x[:5], TARGET_RATE)) == 5
+    with pytest.raises(AudioError, match="cannot upsample 8000 Hz"):
+        resampled_length(Waveform(x[:5], 8000))
 
 
 def test_resample_length_and_amplitude():

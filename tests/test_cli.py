@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from vpsep import TARGET_RATE, Waveform, checkpoint_load, wav_read, wav_write
+from vpsep import (TARGET_RATE, Waveform, checkpoint_load, evaluate, evaluate_ideal,
+                   load_manifest, wav_read, wav_write)
 from vpsep.cli import main
 
 from conftest import with_meta
@@ -175,8 +176,7 @@ def test_separate_stereo_needs_channel(cli_env, tmp_path, capsys):
 
 def test_evaluate_prints_table(cli_env, capsys):
     code, out, err = run(capsys, "evaluate", "--checkpoint",
-                         str(cli_env["ckpt"]), "--data", str(cli_env["data"]),
-                         "--filter-len", "16")
+                         str(cli_env["ckpt"]), "--data", str(cli_env["data"]))
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "model\tarch\tcontext\tGNSDR\tGSIR\tGSAR"
@@ -190,13 +190,43 @@ def test_evaluate_writes_reports(cli_env, tmp_path, capsys):
     per_clip = tmp_path / "clips.tsv"
     code, out, err = run(capsys, "evaluate", "--checkpoint",
                          str(cli_env["ckpt"]), "--data", str(cli_env["data"]),
-                         "--filter-len", "16", "--out", str(table),
+                         "--out", str(table),
                          "--per-clip", str(per_clip))
     assert code == 0
     assert table.read_text().startswith("model\tarch\tcontext")
     body = per_clip.read_text().strip().split("\n")
     assert body[0].startswith("clip_id\t")
     assert len(body) == 3  # 1 test clip x 2 sources
+
+
+def test_evaluate_reports_are_the_library_reports(cli_env, tmp_path, capsys):
+    # the command scores at the library's 512 taps; its thread count leaves the bits alone
+    data = tmp_path / "corpus"
+    assert main(["synth", "--out", str(data), "--seed", "7", "--train", "1",
+                 "--test", "3", "--duration", "1.0"]) == 0
+    manifest = load_manifest(data)
+    ckpt = checkpoint_load(cli_env["ckpt"])
+    for flags, report in (
+            (("--checkpoint", str(cli_env["ckpt"])),
+             lambda: evaluate(ckpt, manifest, filter_len=512, workers=1)),
+            (("--ideal", "soft"),
+             lambda: evaluate_ideal(manifest, kind="soft", filter_len=512, workers=1))):
+        table, per_clip = tmp_path / "table.tsv", tmp_path / "clips.tsv"
+        code, out, err = run(capsys, "evaluate", *flags, "--data", str(data),
+                             "--out", str(table), "--per-clip", str(per_clip))
+        assert code == 0
+        want = report()
+        assert len(want.clips) == 6
+        assert table.read_text() == want.table_tsv()
+        assert per_clip.read_text() == want.per_clip_tsv()
+
+
+def test_evaluate_takes_no_scoring_settings(cli_env, capsys):
+    for flag, value in (("--config", "run.cfg"), ("--filter-len", "16"), ("--workers", "2")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--ideal", "soft", "--data", str(cli_env["data"]), flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_evaluate_report_failure_keeps_targets(cli_env, tmp_path, capsys,
@@ -215,7 +245,7 @@ def test_evaluate_report_failure_keeps_targets(cli_env, tmp_path, capsys,
     monkeypatch.setattr(os, "replace", fail)
     for flag, path in (("--out", table), ("--per-clip", per_clip)):
         code, out, err = run(capsys, "evaluate", "--ideal", "soft",
-                             "--data", str(cli_env["data"]), "--filter-len", "16",
+                             "--data", str(cli_env["data"]),
                              flag, str(path))
         assert code == 1
         assert "rename refused" in err
@@ -226,7 +256,7 @@ def test_evaluate_report_failure_keeps_targets(cli_env, tmp_path, capsys,
 
 def test_evaluate_ideal_mask(cli_env, capsys):
     code, out, err = run(capsys, "evaluate", "--ideal", "soft",
-                         "--data", str(cli_env["data"]), "--filter-len", "16")
+                         "--data", str(cli_env["data"]))
     assert code == 0
     assert out.split("\n")[1].startswith("IDEAL-soft\t-\t1\t")
 
@@ -249,7 +279,7 @@ def test_evaluate_refuses_checkpoint_with_ideal(cli_env, capsys):
 def test_evaluate_train_split(cli_env, capsys):
     code, out, err = run(capsys, "evaluate", "--checkpoint",
                          str(cli_env["ckpt"]), "--data", str(cli_env["data"]),
-                         "--filter-len", "16", "--split", "train")
+                         "--split", "train")
     assert code == 0
     assert out.startswith("model\t")
 
@@ -264,7 +294,7 @@ def test_evaluate_lists_skipped_clips_on_stderr(tmp_path, capsys):
               Waveform(np.zeros(len(music)), music.sample_rate), fmt="float32")
     wav_write(data / "clip001" / "mix.wav", music, fmt="float32")
     code, out, err = run(capsys, "evaluate", "--ideal", "soft",
-                         "--data", str(data), "--filter-len", "8")
+                         "--data", str(data))
     assert code == 0
     assert "skipped (silent stem): clip001" in err
     assert out.startswith("model\t")
@@ -276,7 +306,7 @@ def test_evaluate_empty_split_fails(tmp_path, capsys):
                  "--duration", "0.5"]) == 0
     capsys.readouterr()
     code, out, err = run(capsys, "evaluate", "--ideal", "soft",
-                         "--data", str(data), "--filter-len", "8")
+                         "--data", str(data))
     assert code == 1
     assert "no clips" in err
 

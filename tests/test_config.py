@@ -2,9 +2,9 @@ import dataclasses
 
 import pytest
 
-from vpsep import (MODEL_SPECS, MODELS, ExperimentConfig, ModelSpec, make_config,
-                   read_config_file)
-from vpsep.errors import ConfigError
+from vpsep import (MODEL_SPECS, MODELS, DatasetManifest, ExperimentConfig, ModelSpec,
+                   evaluate_ideal, make_config, read_config_file)
+from vpsep.errors import ConfigError, VpsepError
 
 
 def test_model_menu():
@@ -95,10 +95,6 @@ def test_bounds_validation():
         ExperimentConfig(lr=True)
     with pytest.raises(ConfigError):
         ExperimentConfig(color_n=0.5)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(filter_len=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(workers=0)
     with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
         ExperimentConfig(seed=-1)
 
@@ -107,8 +103,26 @@ def test_bounds_validation():
 @pytest.mark.parametrize("field", ["hidden_width", "hidden_layers", "batch_frames",
                                    "epochs", "seed", "filter_len", "workers"])
 def test_rejects_non_integer_counts(field, value):
-    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
-        ExperimentConfig(**{field: value})
+    # filter_len and workers are evaluation's counts, keywords of evaluate and
+    # evaluate_ideal only; they are checked before the split is looked at
+    if field in ("filter_len", "workers"):
+        with pytest.raises(VpsepError, match=f"{field} must be an integer"):
+            evaluate_ideal(DatasetManifest("absent", ()), **{field: value})
+    else:
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("key, value", [("filter_len", "512"), ("workers", "2")])
+def test_evaluation_settings_are_not_config_keys(key, value, tmp_path):
+    # evaluation scores at BSS Eval's 512 taps on all usable CPUs, unconfigured
+    assert key not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+    path = tmp_path / "run.cfg"
+    path.write_text(f"model = DNN1\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"run.cfg:2: unknown key '{key}'"):
+        make_config(path)
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        make_config(**{key: int(value)})
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf")])

@@ -19,6 +19,7 @@ from vpsep import (
     wav_write,
     write_manifest,
 )
+import vpsep.dataset as dataset
 from vpsep.dataset import (
     clip_spectra,
     load_clip_mixture,
@@ -315,6 +316,34 @@ def test_load_training_frames_concatenates_clips(tiny_corpus):
     assert sizes == [expected_frames(c) for c in tiny_corpus.train_clips]
     assert np.array_equal(context, np.concatenate(
         [lo + context_columns(n) for lo, n in zip(np.cumsum([0] + sizes), sizes)], axis=1))
+
+
+def test_load_training_frames_resamples_each_stem_once(tmp_path, monkeypatch):
+    # the store is sized from each vocal stem's length and rate, so a
+    # 44.1 kHz split is resampled only for its spectra, with the same bits
+    rng = np.random.default_rng(3)
+    clips = tuple(ClipEntry(f"c{i}", "train", 0.5, tmp_path) for i in range(2))
+    for i, entry in enumerate(clips):
+        entry.clip_dir.mkdir()
+        for path in (entry.vocal_path, entry.music_path):
+            wav_write(path, Waveform(0.1 * rng.standard_normal(22050 + 441 * i), 44100),
+                      fmt="float32")
+    manifest = DatasetManifest(tmp_path, clips)
+    resampled = []
+    resample = dataset.resample_to_16k
+    monkeypatch.setattr(dataset, "resample_to_16k",
+                        lambda w: resampled.append(len(w)) or resample(w))
+    mags, _ = load_training_frames(manifest)
+    assert len(resampled) == 4  # a vocal and a music stem per clip
+    want = np.concatenate([np.concatenate([s.data for s in clip_spectra(c)]) for c in clips],
+                          axis=1)
+    assert mags.tobytes("F") == want.tobytes("F")
+    low = ClipEntry("low", "train", 0.5, tmp_path)
+    low.clip_dir.mkdir()
+    for path in (low.vocal_path, low.music_path):
+        wav_write(path, Waveform(np.zeros(8000), 8000))
+    with pytest.raises(DatasetError, match="clip 'low': cannot upsample 8000 Hz"):
+        load_training_frames(DatasetManifest(tmp_path, clips + (low,)))
 
 
 def test_load_training_frames_requires_training_split(tmp_path):

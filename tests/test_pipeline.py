@@ -587,6 +587,44 @@ def test_evaluate_parallel_matches_serial(tiny_corpus, monkeypatch):
         assert (parallel.vocal, parallel.music) == (serial.vocal, serial.music)
 
 
+def spy_threads(monkeypatch):
+    """The thread idents that score clips, and the sizes of the pools made
+    for evaluation calls, recorded from here on."""
+    threads, sizes = [], []
+    rows_of = pipeline._clip_rows
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(pipeline, "_clip_rows",
+                        lambda *a: threads.append(threading.get_ident()) or rows_of(*a))
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Pool)
+    return threads, sizes
+
+
+def test_default_workers_score_one_clip_on_the_calling_thread(tiny_corpus, monkeypatch):
+    threads, sizes = spy_threads(monkeypatch)
+    one = one_clip(tiny_corpus, tiny_corpus.test_clips[0])
+    evaluate_ideal(one, filter_len=16)
+    evaluate(fresh_ckpt(width=8, layers=1), one, filter_len=16)
+    assert threads == [threading.get_ident()] * 2
+    assert sizes == []
+
+
+def test_default_workers_are_the_usable_cpus_at_most_one_per_clip(tiny_corpus, monkeypatch):
+    threads, sizes = spy_threads(monkeypatch)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    assert len(evaluate_ideal(tiny_corpus, filter_len=16).clips) == 4  # 2 clips
+    assert sizes == [2]
+    assert len(threads) == 2 and threading.get_ident() not in threads
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    evaluate_ideal(tiny_corpus, filter_len=16)
+    assert sizes == [2]
+    assert threads[2:] == [threading.get_ident()] * 2
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_evaluate_restores_lapack_threads(workers, lapack_threads, tiny_corpus):
     get, set_ = lapack_threads
@@ -606,8 +644,7 @@ def test_evaluate_restores_blas_threads(workers, blas_threads, tiny_corpus, monk
     assert parallel.ONE_BLAS_THREAD._depth == 0
 
 
-@pytest.mark.skipif((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count()) < 2, reason="needs 2 usable CPUs")
+@pytest.mark.skipif(parallel.usable_cpus() < 2, reason="needs 2 usable CPUs")
 def test_evaluate_ideal_scores_do_not_depend_on_lapack_threads(lapack_threads,
                                                                tiny_corpus, monkeypatch):
     # a threaded Cholesky of the 1024-row joint system rounds differently

@@ -8,13 +8,16 @@ called is printed as its ``def``.  Docstrings are not statements here.
 The traffic is:
 
 - ``synth`` of 2 training and 2 test clips of 1.5 s;
-- ``train --config`` once (CVPNN, from a settings file, ``--quiet``);
+- ``train --config`` once (CVPNN at its default width, from a settings
+  file, ``--quiet``);
 - ``train``, ``info`` and ``evaluate --out --per-clip`` for each of the
   five models at 8x1 for 1 epoch;
 - ``separate`` of a 44.1 kHz float32 mixture with CVPNN, WVPNN, DNN1 and
   DNN3; the mixture is one test clip tiled to 9 s, longer than one
   separation block, so block edges are crossed;
-- ``evaluate --ideal soft --workers 2`` and ``evaluate --ideal binary``.
+- ``evaluate --ideal soft`` and ``evaluate --ideal binary``; like every
+  whole-split ``evaluate`` here, on a machine with two or more usable CPUs
+  they score their two test clips on two threads.
 
 Run it against a source tree::
 
@@ -126,7 +129,7 @@ def traffic(tmp: Path) -> None:
     run_cli(main, ["synth", "--out", data, "--seed", "0", "--train", "2",
                    "--test", "2", "--duration", "1.5"])
     conf = tmp / "cvpnn.conf"
-    conf.write_text("# settings file\nmodel = CVPNN\nhidden_width = 8\n"
+    conf.write_text("# settings file\nmodel = CVPNN\n"
                     "hidden_layers = 1\nepochs = 1\nseed = 3\n")
     run_cli(main, ["train", "--data", data, "--config", str(conf), "--quiet",
                    "--out", str(tmp / "conf.ckpt")])
@@ -147,7 +150,7 @@ def traffic(tmp: Path) -> None:
         if model in SEPARATED:
             run_cli(main, ["separate", "--checkpoint", ckpt, "--input", str(mix44),
                            "--out", str(tmp / f"{model}-stems")])
-    run_cli(main, ["evaluate", "--ideal", "soft", "--workers", "2", "--data", data])
+    run_cli(main, ["evaluate", "--ideal", "soft", "--data", data])
     run_cli(main, ["evaluate", "--ideal", "binary", "--data", data])
 
 
