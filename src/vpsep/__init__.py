@@ -24,8 +24,7 @@ from .audio import (
     wav_read,
     wav_write,
 )
-from .config import (MODEL_SPECS, MODELS, ExperimentConfig, ModelSpec, make_config,
-                     read_config_file)
+from .config import MODEL_SPECS, MODELS, ExperimentConfig, ModelSpec
 from .dataset import (
     ClipEntry,
     DatasetManifest,
@@ -93,9 +92,8 @@ __all__ = [
     "backward", "bss_decompose", "checkpoint_load", "checkpoint_save",
     "color_decode", "color_encode", "covered_length", "evaluate",
     "evaluate_ideal", "forward", "init_network", "istft", "load_manifest",
-    "loss_j", "make_config", "n_frames_for", "normalize", "read_config_file",
-    "resample_to_16k", "sdr_only", "sdr_sir_sar", "separate",
-    "separate_ideal", "soft_mask", "stft", "synth_dataset", "train",
-    "vec_matmul", "wav_read", "wav_write", "window_decode", "window_encode",
-    "window_stack", "write_manifest",
+    "loss_j", "n_frames_for", "normalize", "resample_to_16k", "sdr_only",
+    "sdr_sir_sar", "separate", "separate_ideal", "soft_mask", "stft",
+    "synth_dataset", "train", "vec_matmul", "wav_read", "wav_write",
+    "window_decode", "window_encode", "window_stack", "write_manifest",
 ]

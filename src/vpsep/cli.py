@@ -6,18 +6,20 @@
     vpsep evaluate --checkpoint model.ckpt --data corpus --out report.tsv
     vpsep info     model.ckpt
 
-``train``'s settings resolve as: built-in defaults, then an optional
-``--config`` file of flat ``key = value`` lines, then explicit flags.
+``train`` has one flag per ``ExperimentConfig`` field; a field whose flag
+is not given keeps its built-in default (a model's default width among
+them).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .audio import _atomic_write, wav_read, wav_write
-from .config import MODELS, make_config
+from .config import MODELS, ExperimentConfig
 from .dataset import load_manifest, synth_dataset
 from .errors import VpsepError
 from .pipeline import (
@@ -47,17 +49,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = make_config(
-        args.config,
-        model=args.model,
-        hidden_width=args.hidden_width,
-        hidden_layers=args.hidden_layers,
-        color_n=args.color_n,
-        lr=args.lr,
-        batch_frames=args.batch_frames,
-        epochs=args.epochs,
-        seed=args.seed,
-    )
+    flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    config = ExperimentConfig(**{name: value for name, value in flags.items()
+                                 if value is not None})
     manifest = load_manifest(args.data)
 
     def show(epoch, mean_j):
@@ -127,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a corpus")
     p.add_argument("--data", required=True, help="corpus root directory")
     p.add_argument("--out", required=True, help="checkpoint path to write")
-    p.add_argument("--config", default=None, help="key = value settings file")
     p.add_argument("--model", choices=MODELS, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -1,11 +1,10 @@
-"""Experiment configuration: model menu, defaults, and the key=value
-config-file format."""
+"""Experiment configuration: the model menu and a frozen, validated set of
+training settings with their defaults."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 
 from .errors import ConfigError, check_int
 from .transform import COLOR_N, check_color_n
@@ -75,52 +74,3 @@ class ExperimentConfig:
 
     def network_sizes(self, f_bins: int) -> list[int]:
         return self.spec.sizes(self.hidden_width, self.hidden_layers, f_bins)
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-
-
-def _coerce(key: str, raw: str):
-    ftype = _FIELD_TYPES[key]
-    raw = raw.strip()
-    if "int" in ftype:
-        try:
-            return int(raw)
-        except ValueError as e:
-            raise ConfigError(f"{key} expects an integer, got {raw!r}") from e
-    if "float" in ftype:
-        try:
-            return float(raw)
-        except ValueError as e:
-            raise ConfigError(f"{key} expects a number, got {raw!r}") from e
-    return raw
-
-
-def read_config_file(path) -> dict:
-    """Parse a flat ``key = value`` file ('#' starts a comment)."""
-    values: dict = {}
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, raw = line.split("=", 1)
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw)
-    return values
-
-
-def make_config(file_path=None, **overrides) -> ExperimentConfig:
-    """Config file values overlaid with explicit (non-None) overrides."""
-    values = read_config_file(file_path) if file_path else {}
-    for key, val in overrides.items():
-        if val is None:
-            continue
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = val
-    return ExperimentConfig(**values)

@@ -4,7 +4,11 @@ Trains CVPNN, WVPNN, DNN1 and DNN3 at 64x2 for 2 epochs with seed 0 on
 ``synth_dataset(seed=0)`` and prints, per model, the J history as
 ``float.hex``, the sha256 of the saved checkpoint and one sha256 for
 each of the vocal and music stems that ``separate`` gives for the first
-test clip, so a diff shows which stem moved.
+test clip, so a diff shows which stem moved.  It also trains CVPNN at the
+paper's width, 512x3, for 1 epoch with seed 0 on the same corpus and
+prints its J history and checkpoint sha256 under the label
+``CVPNN-512x3``: the 64x2 networks do not cover the 512-wide weight
+planes.
 For the trained CVPNN and DNN1 and for the soft and binary ideal masks
 it also prints every test clip's SDR, SIR, SAR and mixture SDR as
 ``float.hex`` at ``filter_len`` 512 and 32; the ideal masks print the
@@ -71,6 +75,19 @@ def print_stems(label: str, stems) -> None:
         print(f"{label} {name} sha256 {digest}")
 
 
+def print_training(label: str, config, manifest, tmp):
+    """Train ``config``, print its J history and checkpoint sha256 under
+    ``label``, and return the checkpoint."""
+    from vpsep import checkpoint_save, train
+
+    ckpt, history = train(config, manifest)
+    path = Path(tmp) / f"{label}.ckpt"
+    checkpoint_save(path, ckpt)
+    print(f"{label} J {' '.join(j.hex() for j in history)}")
+    print(f"{label} sha256 {hashlib.sha256(path.read_bytes()).hexdigest()}")
+    return ckpt
+
+
 def read_output(path):
     """The thread-setup line (None if absent), the lines that must match
     exactly, and the per-clip metric values keyed by (model, filter_len,
@@ -117,9 +134,8 @@ def compare(old_path, new_path) -> int:
 
 def run() -> int:
     import vpsep
-    from vpsep import (DatasetManifest, ExperimentConfig, checkpoint_save, evaluate,
-                       evaluate_ideal, separate, separate_ideal, synth_dataset, train,
-                       wav_read)
+    from vpsep import (DatasetManifest, ExperimentConfig, evaluate, evaluate_ideal,
+                       separate, separate_ideal, synth_dataset, wav_read)
 
     print(f"vpsep imported from {vpsep.__file__}", file=sys.stderr)
     print(setup_line())
@@ -131,18 +147,16 @@ def run() -> int:
         for model in MODELS:
             config = ExperimentConfig(model=model, hidden_width=64,
                                       hidden_layers=2, epochs=2, seed=0)
-            ckpt, history = train(config, manifest)
-            path = Path(tmp) / f"{model}.ckpt"
-            checkpoint_save(path, ckpt)
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{model} J {' '.join(j.hex() for j in history)}")
-            print(f"{model} sha256 {digest}")
+            ckpt = print_training(model, config, manifest, tmp)
             print_stems(f"{model} {clip.clip_id}", separate(ckpt, mix))
             if model in EVALUATED:
                 rows[model] = lambda one, ckpt=ckpt: evaluate(ckpt, one, filter_len=512)
                 for flen in FILTER_LENS:
                     print_evaluation(f"{model} filter_len={flen}",
                                      evaluate(ckpt, manifest, filter_len=flen))
+        print_training("CVPNN-512x3", ExperimentConfig(model="CVPNN", hidden_width=512,
+                                                       hidden_layers=3, epochs=1, seed=0),
+                       manifest, tmp)
         for kind in IDEAL_KINDS:
             stems = separate_ideal(mix, wav_read(clip.vocal_path),
                                    wav_read(clip.music_path), kind=kind)

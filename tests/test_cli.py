@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from vpsep import (TARGET_RATE, Waveform, checkpoint_load, evaluate, evaluate_ideal,
-                   load_manifest, wav_read, wav_write)
+from vpsep import (TARGET_RATE, ExperimentConfig, Waveform, checkpoint_load, evaluate,
+                   evaluate_ideal, load_manifest, wav_read, wav_write)
 from vpsep.cli import main
 
 from conftest import with_meta
@@ -93,21 +95,35 @@ def test_train_rejects_unknown_model_via_argparse(tmp_path, capsys):
     assert "invalid choice" in err
 
 
-def test_train_config_file_and_flag_precedence(tmp_path, capsys):
-    data = tmp_path / "d"
-    assert main(["synth", "--out", str(data), "--train", "1", "--test", "0",
-                 "--duration", "0.5"]) == 0
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("model = CVPNN\nhidden_width = 8\nhidden_layers = 1\n"
-                   "epochs = 5\n")
-    capsys.readouterr()
-    code, out, err = run(capsys, "train", "--data", str(data),
-                         "--out", str(tmp_path / "m.ckpt"),
-                         "--config", str(cfg), "--epochs", "1")
-    assert code == 0
-    assert "epoch 1/1" in out  # flag overrode the file's 5 epochs
-    loaded = checkpoint_load(tmp_path / "m.ckpt")
-    assert loaded.arch == "8x1"  # file filled what flags left unset
+def test_train_settings_come_from_flags_alone(cli_env, tmp_path, capsys, monkeypatch):
+    given = []
+
+    def fake_train(config, manifest, on_epoch=None):
+        given.append(config)
+        return checkpoint_load(cli_env["ckpt"]), []
+
+    monkeypatch.setattr("vpsep.cli.train", fake_train)
+    common = ("train", "--data", str(cli_env["data"]), "--out", str(tmp_path / "m.ckpt"))
+    assert main([*common, "--model", "WVPNN", "--hidden-width", "24",
+                 "--hidden-layers", "2", "--color-n", "0.2", "--lr", "5e-4",
+                 "--batch-frames", "64", "--epochs", "7", "--seed", "11"]) == 0
+    config = given.pop()
+    assert config == ExperimentConfig(
+        model="WVPNN", hidden_width=24, hidden_layers=2, color_n=0.2, lr=5e-4,
+        batch_frames=64, epochs=7, seed=11)
+    # all 8 fields left their defaults, so no flag was dropped on the way
+    default = ExperimentConfig()
+    moved = [f.name for f in dataclasses.fields(config)
+             if getattr(config, f.name) != getattr(default, f.name)]
+    assert len(moved) == 8
+    # a flag not given keeps its default, the model's width among them
+    assert main([*common, "--model", "WVPNN"]) == 0
+    assert given.pop() == ExperimentConfig(model="WVPNN")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*common, "--config", "run.cfg"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert given == []
 
 
 def test_info_describes_checkpoint(cli_env, capsys):
